@@ -11,11 +11,22 @@ closed-form coefficients: with Theta_j = delta_j^T * delta_j,
     beta_i = inv(Theta_{i+1}) * Theta_{k+1},
 
 from which gamma and alpha follow by the usual normalization, and
-``T_k = sum_j DS_j * alpha_j``.  The residual norm and the relative-change
-ratio eta are available from Theta traces without forming the residual.
+``T_k = sum_j DS_j * alpha_j``.
 
-``b`` may have any second dimension s (s = n2 of ``a`` in the square
-setting); deltas are 1 x s x n3 and coefficients live in s x s x n3.
+``solve`` takes a one-column right-hand side, so every Theta_j is a tubal
+scalar and the whole k-path is scalar arithmetic on the real-FFT half
+spectrum.  On face f, with theta_j = |delta_j(f)|^2 and
+W_j = 1 / (theta_j + shift),
+
+    T_k = (S_k + theta_{k+1} sum_{j<k} W_{j+1} S_j) / den_k,
+    den_k = 1 + theta_{k+1} sum_{j<=k} W_j,
+
+where both sums are running prefix sums, so a step costs O(n2 n3) however
+large k is.  The residual norm is the trace identity
+``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, and the norms behind eta, the
+extrapolant norms and the errors come from the same arrays by Parseval;
+only the final T_k is transformed back.  ``build_sequence`` itself accepts
+right-hand sides of any width.
 """
 
 from __future__ import annotations
@@ -25,23 +36,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._facemath import half_indices
 from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
     NumericalConsistencyError,
+    SingularFaceError,
 )
-from .extrapolation import gamma_to_alpha
-from .stack_products import star
 from .tensor_core import (
     FaceDomainTensor,
-    Stack4,
     Tensor3,
     frobenius_norm,
-    identity_tensor,
     idft_faces,
 )
-from .tproduct_algebra import tinverse, tprod, ttranspose
+from .tproduct_algebra import DEFAULT_CONTEXT, tprod, ttranspose
 from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
 
 __all__ = [
@@ -49,10 +56,6 @@ __all__ = [
     "SolverReport",
     "DEFAULT_THETA_SHIFT",
     "build_sequence",
-    "closed_form_beta",
-    "trre_tsvd_step",
-    "residual_norm",
-    "eta_ratio",
     "solve",
 ]
 
@@ -133,140 +136,6 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     )
 
 
-def _checked_inverse(theta: Tensor3, shift: float | None) -> Tensor3:
-    eye = identity_tensor(theta.n1, theta.n3)
-    shifted = theta if not shift else theta + float(shift) * eye
-    inv = tinverse(shifted)
-    # left and right T-product inverses coincide for square tensors; assert
-    # commutation as a structural sanity check (tolerance scales with the
-    # conditioning proxy |theta| |inv|)
-    drift = frobenius_norm(tprod(shifted, inv) - tprod(inv, shifted))
-    limit = 1e-8 * (1.0 + frobenius_norm(shifted) * frobenius_norm(inv))
-    if drift > limit:
-        raise NumericalConsistencyError(
-            f"left/right inverse mismatch {drift:.3e} exceeds {limit:.3e}"
-        )
-    return inv
-
-
-def closed_form_beta(thetas, k: int, shift: float | None = DEFAULT_THETA_SHIFT) -> Stack4:
-    """Closed-form coefficients ``beta_i = inv(Theta_{i+1}) * Theta_{k+1}``.
-
-    ``thetas`` lists Theta_1, Theta_2, ... (0-based storage); ``k+1`` of
-    them are consumed.  Each inverse is taken after adding ``shift`` times
-    the identity (disable with ``shift=None`` to require exact
-    invertibility, in which case singular Theta raises).
-    """
-    if k < 1 or len(thetas) < k + 1:
-        raise InsufficientSequenceError(
-            f"closed-form beta at width {k} needs {k + 1} theta terms, have {len(thetas)}"
-        )
-    last = thetas[k]
-    return Stack4(tprod(_checked_inverse(thetas[i], shift), last) for i in range(k))
-
-
-def trre_tsvd_step(
-    state: TtsvdSequenceState,
-    k: int,
-    shift: float | None = DEFAULT_THETA_SHIFT,
-) -> tuple[Tensor3, Stack4, Stack4]:
-    """One reduced-rank step on the TTSVD sequence: returns (T_k, gamma, alpha).
-
-    beta comes from the closed form; gamma normalizes by ``inv(sum beta + I)``
-    with the final slice taken as ``I - sum gamma`` so the telescoped alpha
-    is exactly consistent; ``T_k = sum_j DS_j * alpha_j`` (the S_0 term
-    vanishes because S_0 = 0).
-    """
-    if state.count < k + 1:
-        raise InsufficientSequenceError(
-            f"step k={k} needs k+1={k + 1} sequence terms, state has {state.count}"
-        )
-    beta = closed_form_beta(state.thetas, k, shift)
-    s = beta.dims[0]
-    n3 = beta.dims[2]
-    eye = identity_tensor(s, n3)
-    total = eye
-    for bi in beta:
-        total = total + bi
-    inv_total = tinverse(total)
-    gammas = [tprod(bi, inv_total) for bi in beta]
-    tail = eye
-    for g in gammas:
-        tail = tail - g
-    gammas.append(tail)
-    gamma = Stack4(gammas)
-    alpha = gamma_to_alpha(gamma)
-    t_k = star(Stack4(state.sdeltas[:k]), alpha)
-    return t_k, gamma, alpha
-
-
-def _first_slice_trace(t: Tensor3) -> float:
-    return float(np.trace(t.data[:, :, 0]))
-
-
-def residual_norm(thetas, gamma: Stack4, k: int, tol: float = 1e-10) -> float:
-    """Residual norm from the trace identity ``|R|^2 = tr((Theta_k * gamma_{k-1})_1)``.
-
-    A slightly negative trace within ``-tol`` is clamped to zero; anything
-    more negative means the inputs are inconsistent and raises.
-    """
-    if k < 1 or len(thetas) < k:
-        raise InsufficientSequenceError(f"residual norm at k={k} needs Theta_{k}")
-    if gamma.count < k:
-        raise DimensionMismatchError(f"gamma holds {gamma.count} slices, need >= {k}")
-    tr = _first_slice_trace(tprod(thetas[k - 1], gamma[k - 1]))
-    if tr < -tol:
-        raise NumericalConsistencyError(
-            f"residual trace {tr:.3e} is negative beyond -{tol:.1e}"
-        )
-    return float(np.sqrt(max(tr, 0.0)))
-
-
-def eta_ratio(
-    state: TtsvdSequenceState,
-    t_k: Tensor3,
-    t_k1: Tensor3,
-    alphas_k: Stack4,
-    alphas_k1: Stack4,
-) -> float:
-    """Relative change ``|T_{k+1} - T_k| / |T_k|`` from Theta traces.
-
-    ``alphas_k`` and ``alphas_k1`` are the alpha stacks of the consecutive
-    steps (k and k+1 slices).  Both norms are evaluated through the
-    quadratic-form identities ``|T|^2 = sum_j tr((alpha_{j-1}^T * Theta_j *
-    alpha_{j-1})_1)`` and its difference analogue, never by expanding the
-    extrapolants.
-    """
-    k = alphas_k.count
-    if alphas_k1.count != k + 1:
-        raise DimensionMismatchError(
-            f"alpha stacks must have consecutive widths, got {k} and {alphas_k1.count}"
-        )
-    if len(state.thetas) < k + 1:
-        raise InsufficientSequenceError(f"eta at width {k} needs {k + 1} theta terms")
-    if frobenius_norm(t_k) == 0.0:
-        raise NumericalConsistencyError("eta undefined: previous extrapolant has zero norm")
-
-    def quad(theta: Tensor3, left: Tensor3, right: Tensor3) -> float:
-        return _first_slice_trace(tprod(tprod(ttranspose(left), theta), right))
-
-    num_sq = quad(state.thetas[k], alphas_k1[k], alphas_k1[k])
-    den_sq = 0.0
-    for j in range(k):
-        diff = alphas_k1[j] - alphas_k[j]
-        num_sq += quad(state.thetas[j], diff, diff)
-        den_sq += quad(state.thetas[j], alphas_k[j], alphas_k[j])
-    guard = 1e-10 * max(1.0, frobenius_norm(t_k) ** 2, frobenius_norm(t_k1) ** 2)
-    if num_sq < -guard or den_sq < -guard:
-        raise NumericalConsistencyError(
-            f"eta traces came out negative (num {num_sq:.3e}, den {den_sq:.3e})"
-        )
-    den_sq = max(den_sq, 0.0)
-    if den_sq == 0.0:
-        raise NumericalConsistencyError("eta undefined: trace norm of T_k is zero")
-    return float(np.sqrt(max(num_sq, 0.0) / den_sq))
-
-
 @dataclass
 class SolverReport:
     """Per-iteration history of a reduced-rank TTSVD solve.
@@ -274,7 +143,10 @@ class SolverReport:
     All per-k lists have one entry per recorded k (the k = 1 row is the
     plain first partial sum, recorded for diagnostics with null residual
     and eta).  ``stop_reason`` is "tolerance" when ``min(residual, eta)``
-    fell below the threshold, else "k_max".
+    fell below the threshold, else "k_max".  ``kept_indices`` are the
+    original indices of the sequence terms that survived the drop rule, and
+    ``phase_seconds`` splits the wall time into building the sequence and
+    the k-path.
     """
 
     tol_eps: float
@@ -286,6 +158,8 @@ class SolverReport:
     timings: list = field(default_factory=list)
     stop_reason: str = ""
     t_k: Tensor3 | None = None
+    kept_indices: tuple = ()
+    phase_seconds: dict = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -306,10 +180,32 @@ class SolverReport:
             "eta_ratios": list(self.eta_ratios),
             "t_norms": list(self.t_norms),
             "timings": list(self.timings),
+            "phase_seconds": dict(self.phase_seconds),
+            "kept_indices": list(self.kept_indices),
         }
         if any(e is not None for e in self.errors):
             out["relative_errors"] = list(self.errors)
         return out
+
+
+def _parseval_weights(n3: int) -> np.ndarray:
+    """Weights c_f with ``|x|^2 = sum_f c_f |rfft(x)_f|^2`` along mode 3: the
+    zero face and (for even n3) the Nyquist face appear once in the full
+    spectrum, every other half-spectrum face twice."""
+    c = np.full(n3 // 2 + 1, 2.0 / n3)
+    c[0] = 1.0 / n3
+    if n3 % 2 == 0:
+        c[-1] = 1.0 / n3
+    return c
+
+
+def _first_singular_theta(shifted: np.ndarray) -> int:
+    """Index of the first shifted Theta that ``tinverse`` would refuse, or
+    the number of Thetas if none: a face value at or below the invertibility
+    threshold times the largest face value of that Theta."""
+    threshold = DEFAULT_CONTEXT.invertibility_threshold
+    bad = np.flatnonzero(shifted.min(axis=1) <= threshold * shifted.max(axis=1))
+    return int(bad[0]) if bad.size else len(shifted)
 
 
 def solve(
@@ -323,47 +219,106 @@ def solve(
     """Run the reduced-rank TTSVD solver with both stopping criteria.
 
     Starting from ``T_1 = S_1``, iterates k = 2, 3, ... computing the
-    extrapolant, its residual norm, and the relative change from the
-    previous extrapolant; continues while ``min(residual, eta) >= tol_eps``
-    and terms remain, then reports the full history.  ``x_true``, when
-    supplied, adds a relative-error column.
+    extrapolant, its residual norm, and the relative change
+    ``|T_k - T_{k-1}| / |T_{k-1}|`` from the previous extrapolant; continues
+    while ``min(residual, eta) >= tol_eps`` and terms remain, then reports
+    the full history.  ``x_true``, when supplied, adds a relative-error
+    column.
+
+    ``b`` must have one column; solve a wider right-hand side one column at
+    a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
+    every face (``shift=None`` adds nothing) and raises
+    ``SingularFaceError`` when one of them is singular by the ``tinverse``
+    rule.
     """
+    if b.n2 != 1:
+        raise DimensionMismatchError(
+            f"solve takes a one-column right-hand side, got {b.n2} columns; "
+            "solve each column separately"
+        )
+    n2, n3 = a.n2, a.n3
+    if x_true is not None and x_true.dims != (n2, 1, n3):
+        raise DimensionMismatchError(
+            f"x_true dims {x_true.dims} do not match the solution dims {(n2, 1, n3)}"
+        )
+    started = time.perf_counter()
     state = build_sequence(a, b, k_max)
     if state.count == 0:
         raise InsufficientSequenceError(
             "right-hand side produced no usable sequence terms (every delta vanished)"
         )
-    report = SolverReport(tol_eps=float(tol_eps))
+    steps_started = time.perf_counter()
+    report = SolverReport(tol_eps=float(tol_eps), kept_indices=state.kept_indices)
+    report.phase_seconds["sequence"] = steps_started - started
 
-    def record(k, t, res, eta, started):
+    # half-spectrum faces: theta (count, faces) and the partial sums
+    # S_0 = 0, S_1, ... (count + 1, n2, faces)
+    deltas = np.fft.rfft(np.stack([d.data[0, 0] for d in state.deltas]), axis=-1)
+    theta = deltas.real**2 + deltas.imag**2
+    sums = np.zeros((state.count + 1, n2, n3 // 2 + 1), dtype=np.complex128)
+    np.cumsum(
+        np.fft.rfft(np.stack([s.data[:, 0] for s in state.sdeltas]), axis=-1),
+        axis=0,
+        out=sums[1:],
+    )
+    shifted = theta + float(shift) if shift else theta
+    first_singular = _first_singular_theta(shifted)
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / shifted
+    parseval = _parseval_weights(n3)
+
+    def norm(faces: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2))))
+
+    x_faces = x_scale = None
+    if x_true is not None:
+        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
+        x_scale = frobenius_norm(x_true)
+
+    def record(k, t_faces, res, eta, step_started):
         report.ks.append(k)
         report.residual_norms.append(res)
         report.eta_ratios.append(eta)
-        report.t_norms.append(frobenius_norm(t))
-        if x_true is not None:
-            scale = frobenius_norm(x_true)
-            err = frobenius_norm(t - x_true) / scale if scale > 0 else frobenius_norm(t)
-            report.errors.append(err)
-        else:
+        t_norm = norm(t_faces)
+        report.t_norms.append(t_norm)
+        if x_faces is None:
             report.errors.append(None)
-        report.timings.append(time.perf_counter() - started)
+        elif x_scale > 0:
+            report.errors.append(norm(t_faces - x_faces) / x_scale)
+        else:
+            report.errors.append(t_norm)
+        report.timings.append(time.perf_counter() - step_started)
+        return t_norm
 
-    started = time.perf_counter()
-    t_prev = state.partial_sums[1]
-    s = t_prev.n2
-    alphas_prev = Stack4([identity_tensor(s, t_prev.n3)])
-    record(1, t_prev, None, None, started)
-    report.t_k = t_prev
+    t_prev = sums[1]
+    prev_norm = record(1, t_prev, None, None, steps_started)
     report.stop_reason = "k_max"
+    weighted = np.zeros_like(t_prev)  # sum_{j<k} W_{j+1} S_j
+    weight_sum = weights[0]  # sum_{j<=k} W_j
     for k in range(2, state.count):
-        started = time.perf_counter()
-        t_k, gamma, alpha = trre_tsvd_step(state, k, shift)
-        res = residual_norm(state.thetas, gamma, k)
-        eta = eta_ratio(state, t_prev, t_k, alphas_prev, alpha)
-        record(k, t_k, res, eta, started)
-        report.t_k = t_k
-        t_prev, alphas_prev = t_k, alpha
+        step_started = time.perf_counter()
+        if first_singular < k:
+            j = first_singular
+            face = int(np.argmin(shifted[j]))
+            smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
+            raise SingularFaceError(
+                f"Theta_{j + 1} at step k={k}: face {face} is singular to working "
+                f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
+                face_index=face,
+                cond=top / smin if smin > 0 else np.inf,
+            )
+        weighted += weights[k - 1] * sums[k - 1]
+        weight_sum = weight_sum + weights[k - 1]
+        theta_next = theta[k]
+        den = 1.0 + theta_next * weight_sum
+        t_k = (sums[k] + theta_next * weighted) / den
+        res = float(np.sqrt(np.sum(parseval * theta[k - 1] * weights[k - 1] * theta_next / den)))
+        eta = norm(t_k - t_prev) / prev_norm
+        prev_norm = record(k, t_k, res, eta, step_started)
+        t_prev = t_k
         if min(res, eta) < tol_eps:
             report.stop_reason = "tolerance"
             break
+    report.t_k = Tensor3(np.fft.irfft(t_prev, n=n3, axis=-1)[:, None, :])
+    report.phase_seconds["steps"] = time.perf_counter() - steps_started
     return report

@@ -6,9 +6,30 @@ DFT summation, dense pseudoinverses of the embedded matrix, and the
 textbook vector-extrapolation formulas in their classical
 gamma-parameterized forms.  None of it shares code paths with the
 package implementations it is used to validate.
+
+The exception is the last section: the tensor-level TRRE-TTSVD step
+(closed-form beta by T-product inverses, the trace-identity residual and
+eta), built from the package's T-product primitives.  It is the reference
+for the face-domain solver, which shares none of that arithmetic.
 """
 
 import numpy as np
+
+from textrap import (
+    DimensionMismatchError,
+    InsufficientSequenceError,
+    NumericalConsistencyError,
+    Stack4,
+    Tensor3,
+    frobenius_norm,
+    gamma_to_alpha,
+    identity_tensor,
+    star,
+    tinverse,
+    tprod,
+    ttranspose,
+)
+from textrap.trre_tsvd_solver import DEFAULT_THETA_SHIFT
 
 
 def brute_bcirc(data: np.ndarray) -> np.ndarray:
@@ -177,3 +198,152 @@ def plain_truncation_errors(a: np.ndarray, b: np.ndarray, x_true: np.ndarray):
         spatial = np.fft.ifft(partial, axis=2).real
         errors.append(np.linalg.norm(spatial - x_true) / scale)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# tensor-level TRRE-TTSVD step (reference for the face-domain solver)
+
+def _checked_inverse(theta: Tensor3, shift) -> Tensor3:
+    eye = identity_tensor(theta.n1, theta.n3)
+    shifted = theta if not shift else theta + float(shift) * eye
+    inv = tinverse(shifted)
+    # left and right T-product inverses coincide for square tensors; assert
+    # commutation as a structural sanity check (tolerance scales with the
+    # conditioning proxy |theta| |inv|)
+    drift = frobenius_norm(tprod(shifted, inv) - tprod(inv, shifted))
+    limit = 1e-8 * (1.0 + frobenius_norm(shifted) * frobenius_norm(inv))
+    if drift > limit:
+        raise NumericalConsistencyError(
+            f"left/right inverse mismatch {drift:.3e} exceeds {limit:.3e}"
+        )
+    return inv
+
+
+def closed_form_beta(thetas, k: int, shift=DEFAULT_THETA_SHIFT) -> Stack4:
+    """Closed-form coefficients ``beta_i = inv(Theta_{i+1}) * Theta_{k+1}``.
+
+    ``thetas`` lists Theta_1, Theta_2, ... (0-based storage); ``k+1`` of
+    them are consumed.  Each inverse is taken after adding ``shift`` times
+    the identity (``shift=None`` requires exact invertibility, and a
+    singular Theta raises).
+    """
+    if k < 1 or len(thetas) < k + 1:
+        raise InsufficientSequenceError(
+            f"closed-form beta at width {k} needs {k + 1} theta terms, have {len(thetas)}"
+        )
+    last = thetas[k]
+    return Stack4(tprod(_checked_inverse(thetas[i], shift), last) for i in range(k))
+
+
+def trre_tsvd_step(state, k: int, shift=DEFAULT_THETA_SHIFT):
+    """One reduced-rank step on the TTSVD sequence: returns (T_k, gamma, alpha).
+
+    beta comes from the closed form; gamma normalizes by ``inv(sum beta + I)``
+    with the final slice taken as ``I - sum gamma`` so the telescoped alpha
+    is exactly consistent; ``T_k = sum_j DS_j * alpha_j`` (the S_0 term
+    vanishes because S_0 = 0).
+    """
+    if state.count < k + 1:
+        raise InsufficientSequenceError(
+            f"step k={k} needs k+1={k + 1} sequence terms, state has {state.count}"
+        )
+    beta = closed_form_beta(state.thetas, k, shift)
+    s = beta.dims[0]
+    n3 = beta.dims[2]
+    eye = identity_tensor(s, n3)
+    total = eye
+    for bi in beta:
+        total = total + bi
+    inv_total = tinverse(total)
+    gammas = [tprod(bi, inv_total) for bi in beta]
+    tail = eye
+    for g in gammas:
+        tail = tail - g
+    gammas.append(tail)
+    gamma = Stack4(gammas)
+    alpha = gamma_to_alpha(gamma)
+    t_k = star(Stack4(state.sdeltas[:k]), alpha)
+    return t_k, gamma, alpha
+
+
+def _first_slice_trace(t: Tensor3) -> float:
+    return float(np.trace(t.data[:, :, 0]))
+
+
+def residual_norm(thetas, gamma: Stack4, k: int, tol: float = 1e-10) -> float:
+    """Residual norm from the trace identity ``|R|^2 = tr((Theta_k * gamma_{k-1})_1)``.
+
+    A slightly negative trace within ``-tol`` is clamped to zero; anything
+    more negative means the inputs are inconsistent and raises.
+    """
+    if k < 1 or len(thetas) < k:
+        raise InsufficientSequenceError(f"residual norm at k={k} needs Theta_{k}")
+    if gamma.count < k:
+        raise DimensionMismatchError(f"gamma holds {gamma.count} slices, need >= {k}")
+    tr = _first_slice_trace(tprod(thetas[k - 1], gamma[k - 1]))
+    if tr < -tol:
+        raise NumericalConsistencyError(
+            f"residual trace {tr:.3e} is negative beyond -{tol:.1e}"
+        )
+    return float(np.sqrt(max(tr, 0.0)))
+
+
+def eta_ratio(state, t_k: Tensor3, t_k1: Tensor3, alphas_k: Stack4, alphas_k1: Stack4) -> float:
+    """Relative change ``|T_{k+1} - T_k| / |T_k|`` from Theta traces.
+
+    ``alphas_k`` and ``alphas_k1`` are the alpha stacks of the consecutive
+    steps (k and k+1 slices).  Both norms are evaluated through the
+    quadratic-form identities ``|T|^2 = sum_j tr((alpha_{j-1}^T * Theta_j *
+    alpha_{j-1})_1)`` and its difference analogue, never by expanding the
+    extrapolants.  The direct ratio of the extrapolants is what the solver
+    reports; at late k the two can differ well beyond rounding.
+    """
+    k = alphas_k.count
+    if alphas_k1.count != k + 1:
+        raise DimensionMismatchError(
+            f"alpha stacks must have consecutive widths, got {k} and {alphas_k1.count}"
+        )
+    if len(state.thetas) < k + 1:
+        raise InsufficientSequenceError(f"eta at width {k} needs {k + 1} theta terms")
+    if frobenius_norm(t_k) == 0.0:
+        raise NumericalConsistencyError("eta undefined: previous extrapolant has zero norm")
+
+    def quad(theta: Tensor3, left: Tensor3, right: Tensor3) -> float:
+        return _first_slice_trace(tprod(tprod(ttranspose(left), theta), right))
+
+    num_sq = quad(state.thetas[k], alphas_k1[k], alphas_k1[k])
+    den_sq = 0.0
+    for j in range(k):
+        diff = alphas_k1[j] - alphas_k[j]
+        num_sq += quad(state.thetas[j], diff, diff)
+        den_sq += quad(state.thetas[j], alphas_k[j], alphas_k[j])
+    guard = 1e-10 * max(1.0, frobenius_norm(t_k) ** 2, frobenius_norm(t_k1) ** 2)
+    if num_sq < -guard or den_sq < -guard:
+        raise NumericalConsistencyError(
+            f"eta traces came out negative (num {num_sq:.3e}, den {den_sq:.3e})"
+        )
+    den_sq = max(den_sq, 0.0)
+    if den_sq == 0.0:
+        raise NumericalConsistencyError("eta undefined: trace norm of T_k is zero")
+    return float(np.sqrt(max(num_sq, 0.0) / den_sq))
+
+
+def trre_tsvd_path(state, shift=DEFAULT_THETA_SHIFT, x_true=None) -> dict:
+    """The solver's per-k history by the tensor-level step, run to the end
+    with no stopping test: for k = 2 .. count-1 the extrapolant, the
+    trace-identity residual, the direct eta ratio, the extrapolant norm and
+    (with ``x_true``) the relative error.  The k = 1 row is S_1."""
+    out = {"ks": [1], "t": [state.partial_sums[1]], "residual_norms": [None],
+           "eta_ratios": [None]}
+    for k in range(2, state.count):
+        t_k, gamma, _ = trre_tsvd_step(state, k, shift)
+        t_prev = out["t"][-1]
+        out["ks"].append(k)
+        out["t"].append(t_k)
+        out["residual_norms"].append(residual_norm(state.thetas, gamma, k))
+        out["eta_ratios"].append(frobenius_norm(t_k - t_prev) / frobenius_norm(t_prev))
+    out["t_norms"] = [frobenius_norm(t) for t in out["t"]]
+    if x_true is not None:
+        scale = frobenius_norm(x_true)
+        out["errors"] = [frobenius_norm(t - x_true) / scale for t in out["t"]]
+    return out

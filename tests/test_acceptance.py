@@ -19,8 +19,10 @@ from oracles import (
     classical_mpe,
     classical_rre,
     classical_tea,
+    closed_form_beta,
     face_singular_values,
     plain_truncation_errors,
+    trre_tsvd_step,
 )
 from textrap import (
     Stack4,
@@ -28,17 +30,14 @@ from textrap import (
     TensorSequence,
     build_sequence,
     check_moore_penrose,
-    closed_form_beta,
     extrapolate,
     frobenius_norm,
     identity_tensor,
-    residual_norm,
     solve,
     star,
     tinverse,
     tls_solve,
     tprod,
-    trre_tsvd_step,
     tsvd,
     ttea_extrapolate,
     ttranspose,
@@ -278,12 +277,16 @@ def test_criterion_08_solver_internal_consistency():
         last = -tprod(state.thetas[k - 1], beta[k - 1]) + state.thetas[k]
         sub = max(sub, frobenius_norm(last))
         worst_sub = max(worst_sub, sub / scale)
-        # closed-form residual norm equals the assembled residual's norm
-        t_k, gamma, _ = trre_tsvd_step(state, k, shift=None)
-        got = residual_norm(state.thetas, gamma, k)
+        # the solver's closed-form residual norm equals the norm of the
+        # residual assembled from the reference step's gamma
+        report = solve(a, b, tol_eps=0.0, k_max=k + 1, shift=None)
+        _, gamma, _ = trre_tsvd_step(state, k, shift=None)
+        got = report.residual_norms[-1]
         direct = frobenius_norm(star(Stack4(state.sdeltas[: k + 1]), gamma))
         worst_res = max(worst_res, abs(got - direct) / max(1e-12, direct))
-        # step output equals the generic transform on the same partial sums
+        # the solver's extrapolant equals the generic transform on the same
+        # partial sums
+        t_k = report.t_k
         engine = extrapolate(TensorSequence(state.partial_sums[: k + 2]), 0, k, "trre")
         worst_step = max(worst_step, _rel(t_k, engine.t_k))
         done += 1

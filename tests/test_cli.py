@@ -260,6 +260,32 @@ def test_solve_shift_zero_disables_regularization(tmp_path, capsys):
     assert report["stop_reason"] in ("tolerance", "k_max")
 
 
+def test_solve_rejects_multi_column_rhs(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="6,6,2", width="3")
+    assert gen["rhs_width"] == 3
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"],
+         "--output", tmp_path / "tk.tns3"],
+        capsys,
+    )
+    assert code == 1 and report is None
+    assert "3 columns" in err and "solve each column separately" in err
+    assert not (tmp_path / "tk.tns3").exists()
+
+
+def test_solve_report_shows_phases_and_kept_terms(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="6,6,2", rate="0.5")
+    code, report, _ = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], "--tol", "0",
+         "--output", tmp_path / "tk.tns3"],
+        capsys,
+    )
+    assert code == 0
+    assert set(report["phase_seconds"]) == {"sequence", "steps"}
+    assert all(v >= 0.0 for v in report["phase_seconds"].values())
+    assert report["kept_indices"] == [1, 2, 3, 4, 5, 6]
+
+
 def test_solve_usage_and_io_errors(tmp_path, capsys):
     gen = gen_problem(tmp_path, capsys, dims="4,4,2")
     code, _, err = run_cli(["solve", "-i", gen["paths"]["a"]], capsys)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import matrix_rre_on_tsvd
+from oracles import (
+    closed_form_beta,
+    eta_ratio,
+    matrix_rre_on_tsvd,
+    residual_norm,
+    trre_tsvd_path,
+    trre_tsvd_step,
+)
 from textrap import (
     DimensionMismatchError,
     InsufficientSequenceError,
@@ -11,18 +20,14 @@ from textrap import (
     Tensor3,
     TensorSequence,
     build_sequence,
-    closed_form_beta,
-    eta_ratio,
     extrapolate,
     frobenius_norm,
     identity_tensor,
     is_positive_definite,
-    residual_norm,
     solve,
     star,
     tinverse,
     tprod,
-    trre_tsvd_step,
     tsvd,
     ttranspose,
     ttsvd,
@@ -154,7 +159,7 @@ def test_k_max_limits_terms():
 
 
 # ---------------------------------------------------------------------------
-# closed-form coefficients
+# closed-form coefficients (the tensor-level reference in oracles.py)
 
 
 def test_closed_form_beta_substitution():
@@ -201,20 +206,26 @@ def test_closed_form_beta_singular_without_shift():
 
 
 # ---------------------------------------------------------------------------
-# the extrapolation step
+# the extrapolation step: the face-domain solver stopped at width k, against
+# the generic engine and the tensor-level reference
+
+
+def solve_at(a, b, k, shift=None):
+    """The solver's extrapolant at width k (its last step when k_max = k+1)."""
+    return solve(a, b, tol_eps=0.0, k_max=k + 1, shift=shift).t_k
 
 
 def test_step_matches_generic_engine():
-    # same sequence through two independent code paths (single-column b
-    # keeps every coefficient tensor an invertible tube)
+    # same sequence through independent code paths (single-column b keeps
+    # every coefficient tensor an invertible tube)
     a, b = rand(6, 6, 2), rand(6, 1, 2)
     state = build_sequence(a, b)
     for k in (2, 3):
-        t_k, gamma, alpha = trre_tsvd_step(state, k, shift=None)
         seq = TensorSequence(state.partial_sums[: k + 2])
         engine = extrapolate(seq, 0, k, "trre")
         scale = frobenius_norm(engine.t_k)
-        assert frobenius_norm(t_k - engine.t_k) / scale < 1e-7
+        assert frobenius_norm(solve_at(a, b, k) - engine.t_k) / scale < 1e-7
+        _, gamma, _ = trre_tsvd_step(state, k, shift=None)
         for g1, g2 in zip(gamma, engine.gamma):
             assert frobenius_norm(g1 - g2) < 1e-7
 
@@ -236,9 +247,9 @@ def test_step_gamma_sums_to_identity():
 def test_step_t_is_alpha_combination():
     a, b = rand(6, 6, 2), rand(6, 1, 2)
     state = build_sequence(a, b)
-    t_k, _, alpha = trre_tsvd_step(state, 3)
+    _, _, alpha = trre_tsvd_step(state, 3)
     want = star(Stack4(state.sdeltas[:3]), alpha)
-    assert frobenius_norm(t_k - want) < 1e-10
+    assert frobenius_norm(solve_at(a, b, 3, shift=1e-10) - want) < 1e-10
 
 
 def test_step_requires_enough_deltas():
@@ -252,15 +263,14 @@ def test_scalar_case_matches_matrix_oracle():
     n = 7
     a2 = RNG.standard_normal((n, n))
     bv = RNG.standard_normal(n)
-    state = build_sequence(Tensor3(a2[:, :, None]), Tensor3(bv[:, None, None]))
-    for k in (1, 2, 3):
-        t_k, _, _ = trre_tsvd_step(state, k, shift=None)
+    a, b = Tensor3(a2[:, :, None]), Tensor3(bv[:, None, None])
+    for k in (2, 3, 4):
         want = matrix_rre_on_tsvd(a2, bv, k)
-        assert np.linalg.norm(t_k.data[:, 0, 0] - want) < 1e-8
+        assert np.linalg.norm(solve_at(a, b, k).data[:, 0, 0] - want) < 1e-8
 
 
 # ---------------------------------------------------------------------------
-# closed-form residual and eta
+# residual and eta
 
 
 def test_residual_norm_matches_direct():
@@ -269,26 +279,34 @@ def test_residual_norm_matches_direct():
         state = build_sequence(a, b)
         for k in (2, 3):
             _, gamma, _ = trre_tsvd_step(state, k)
-            got = residual_norm(state.thetas, gamma, k)
+            got = solve(a, b, tol_eps=0.0, k_max=k + 1).residual_norms[-1]
             direct = frobenius_norm(star(Stack4(state.sdeltas[: k + 1]), gamma))
             assert got == pytest.approx(direct, rel=1e-7, abs=1e-12)
 
 
 def test_residual_norm_equal_theta_analytic():
-    # two equal coefficient tensors: the k = 1 mixing weights are I/2, so
-    # the squared residual is half the first-slice trace
-    g = rand(3, 1, 2)
-    theta = tprod(ttranspose(g), g)  # 1x1x2, positive tube
-    thetas = [theta, theta]
-    beta = closed_form_beta(thetas, 1, shift=None)
-    eye = identity_tensor(1, 2)
-    total = eye + beta[0]
-    inv = tinverse(total)
+    # a diagonal operator with b_j = sigma_j * t gives every term the same
+    # Theta, the tube t^T * t; the step-k mixing weights are then all
+    # 1/(k+1), so the squared residual is |t|^2 / (k+1)
+    n, n3 = 5, 3
+    sig = 2.0 ** -np.arange(n)
+    adata = np.zeros((n, n, n3))
+    adata[np.arange(n), np.arange(n), 0] = sig
+    t = RNG.standard_normal(n3)
+    b = Tensor3((sig[:, None] * t)[:, None, :])
+    report = solve(Tensor3(adata), b, tol_eps=0.0, shift=None)
+    assert report.ks == [1, 2, 3, 4]
+    for k, res in zip(report.ks[1:], report.residual_norms[1:]):
+        assert res == pytest.approx(np.linalg.norm(t) / np.sqrt(k + 1), rel=1e-10)
+    # the tensor-level reference agrees at k = 1
+    theta = build_sequence(Tensor3(adata), b).thetas[0]
+    beta = closed_form_beta([theta, theta], 1, shift=None)
+    eye = identity_tensor(1, n3)
+    inv = tinverse(eye + beta[0])
     gamma = Stack4([tprod(beta[0], inv), eye - tprod(beta[0], inv)])
     assert frobenius_norm(gamma[0] - 0.5 * eye) < 1e-10
-    got = residual_norm(thetas, gamma, 1)
-    want = np.sqrt(0.5 * float(np.trace(theta.data[:, :, 0])))
-    assert got == pytest.approx(want, rel=1e-10)
+    got = residual_norm([theta, theta], gamma, 1)
+    assert got == pytest.approx(np.linalg.norm(t) / np.sqrt(2), rel=1e-10)
 
 
 def test_residual_norm_rejects_negative_trace():
@@ -301,12 +319,11 @@ def test_residual_norm_rejects_negative_trace():
 
 def test_eta_matches_direct_ratio():
     a, b = rand(7, 7, 2), rand(7, 1, 2)
-    state = build_sequence(a, b)
-    t2, _, alpha2 = trre_tsvd_step(state, 2)
-    t3, _, alpha3 = trre_tsvd_step(state, 3)
-    got = eta_ratio(state, t2, t3, alpha2, alpha3)
-    want = frobenius_norm(t3 - t2) / frobenius_norm(t2)
-    assert got == pytest.approx(want, rel=1e-7)
+    report = solve(a, b, tol_eps=0.0, k_max=4)
+    assert report.ks == [1, 2, 3]
+    t2 = solve(a, b, tol_eps=0.0, k_max=3).t_k
+    want = frobenius_norm(report.t_k - t2) / frobenius_norm(t2)
+    assert report.eta_ratios[-1] == pytest.approx(want, rel=1e-7)
 
 
 def test_eta_zero_denominator_raises():
@@ -390,3 +407,103 @@ def test_solve_rejects_unusable_rhs():
     zero_b = Tensor3(np.zeros((5, 1, 2)))
     with pytest.raises(InsufficientSequenceError):
         solve(a, zero_b)
+
+
+def test_solve_rejects_multi_column_rhs():
+    a = rand(5, 5, 2)
+    with pytest.raises(DimensionMismatchError, match="3 columns.*solve each column separately"):
+        solve(a, rand(5, 3, 2))
+
+
+def test_solve_rejects_mismatched_x_true():
+    a, b = rand(5, 4, 2), rand(5, 1, 2)
+    with pytest.raises(DimensionMismatchError, match="x_true"):
+        solve(a, b, x_true=rand(5, 1, 2))
+
+
+def test_solve_reports_phases_and_kept_indices():
+    a = rand(5, 5, 2)
+    fac = tsvd(a)
+    sdata = fac.s.data.copy()
+    sdata[4, 4, :] = 0.0
+    trimmed = tprod(tprod(fac.u, Tensor3(sdata)), ttranspose(fac.v))
+    b = rand(5, 1, 2)
+    report = solve(trimmed, b, tol_eps=0.0)
+    assert report.kept_indices == build_sequence(trimmed, b).kept_indices == (1, 2, 3, 4)
+    d = report.as_dict()
+    assert d["kept_indices"] == [1, 2, 3, 4]
+    assert set(d["phase_seconds"]) == {"sequence", "steps"}
+    assert all(v >= 0.0 for v in d["phase_seconds"].values())
+
+
+def zero_face_problem(n=5, n3=4):
+    """A well-conditioned operator and a right-hand side constant along
+    mode 3, so every delta vanishes on each face but the first: every
+    Theta has zero faces, while theta_j stays below 100 on face 0."""
+    a = tsvd(rand(n, n, n3)).u
+    b = Tensor3(np.repeat(RNG.uniform(-0.5, 0.5, (n, 1, 1)), n3, axis=2))
+    return a, b
+
+
+def test_zero_theta_face_needs_the_shift():
+    a, b = zero_face_problem()
+    with pytest.raises(SingularFaceError) as info:
+        solve(a, b, tol_eps=0.0, shift=None)
+    assert info.value.face_index == 1
+    report = solve(a, b, tol_eps=0.0)
+    assert report.ks == [1, 2, 3, 4]
+    assert np.all(np.isfinite(report.t_k.data))
+    assert all(np.isfinite(r) for r in report.residual_norms[1:])
+    # the tensor-level reference makes the same decisions and values
+    state = build_sequence(a, b)
+    with pytest.raises(SingularFaceError):
+        trre_tsvd_step(state, 2, shift=None)
+    # on the zero faces the reference's Theta carries T-product rounding of
+    # order eps * max theta, which the shift's 1/1e-10 weight magnifies, so
+    # the two agree to 1e-6 there; the face path keeps those faces at zero
+    want, _, _ = trre_tsvd_step(state, 4)
+    assert frobenius_norm(report.t_k - want) <= 1e-6 * frobenius_norm(want)
+    faces = np.fft.fft(report.t_k.data, axis=2)
+    assert np.max(np.abs(faces[:, :, 1:])) <= 1e-14 * np.max(np.abs(faces[:, :, 0]))
+
+
+# ---------------------------------------------------------------------------
+# property: the face-domain path equals the tensor-level reference
+
+
+def _close(got, want, rtol=1e-8):
+    scale = np.max(np.abs(want)) if np.size(want) else 0.0
+    return np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= rtol * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 8),
+    n3=st.sampled_from([1, 2, 3, 4, 7, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    drop_last_tube=st.booleans(),
+    shift=st.sampled_from([1e-10, None]),
+)
+def test_face_path_matches_tensor_reference(n, n3, seed, drop_last_tube, shift):
+    rng = np.random.default_rng(seed)
+    a = Tensor3(rng.standard_normal((n, n, n3)))
+    if drop_last_tube:
+        fac = tsvd(a)
+        sdata = fac.s.data.copy()
+        sdata[n - 1, n - 1, :] = 0.0
+        a = tprod(tprod(fac.u, Tensor3(sdata)), ttranspose(fac.v))
+    b = Tensor3(rng.standard_normal((n, 1, n3)))
+    x = Tensor3(rng.standard_normal((n, 1, n3)))
+    state = build_sequence(a, b)
+    assert state.count == n - drop_last_tube
+    ref = trre_tsvd_path(state, shift, x)
+    report = solve(a, b, tol_eps=0.0, shift=shift, x_true=x)
+    assert report.ks == ref["ks"]
+    assert report.residual_norms[0] is None and report.eta_ratios[0] is None
+    for key in ("residual_norms", "eta_ratios"):
+        assert _close(report.__dict__[key][1:], ref[key][1:]), key
+    assert _close(report.t_norms, ref["t_norms"])
+    assert _close(report.errors, ref["errors"])
+    for k, t in zip(ref["ks"][1:], ref["t"][1:]):
+        got = solve_at(a, b, k, shift)
+        assert frobenius_norm(got - t) <= 1e-8 * frobenius_norm(t)
