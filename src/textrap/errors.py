@@ -68,7 +68,9 @@ class SingularFaceError(TextrapError):
 
 
 class FaceSvdError(TextrapError):
-    """A per-face SVD failed to converge; carries the offending face index."""
+    """A per-face decomposition (SVD, eigenvalues, inverse) failed or was
+    refused because a face holds non-finite entries; carries the offending
+    face index when known."""
 
     def __init__(self, message: str, face_index: int | None = None):
         super().__init__(message)

@@ -15,8 +15,9 @@ generalized residual against a method-specific test stack Y:
     TMMPE  Y_i fixed, supplied by the caller.
 
 The block system is solved in the DFT face domain, where the T-product
-block structure decouples into n3 independent complex (k*n2) x (k*n2)
-systems.  TTEA (the topological epsilon transform) uses a single test
+block structure decouples into independent complex (k*n2) x (k*n2)
+systems, one per face of the real-FFT half spectrum, solved in one batched
+call.  TTEA (the topological epsilon transform) uses a single test
 tensor y and a Hankel-type block system instead.
 """
 
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._facemath import fill_conjugate, half_indices
 from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
@@ -35,12 +35,13 @@ from .errors import (
 )
 from .stack_products import star
 from .tensor_core import (
-    FaceDomainTensor,
     Stack4,
     Tensor3,
+    _face_linalg,
+    _faces,
+    _unfaces,
     frobenius_norm,
     identity_tensor,
-    idft_faces,
 )
 from .tproduct_algebra import tinverse, tprod
 
@@ -180,35 +181,36 @@ def build_y_stack(
     return delta[:k] if name == "tmpe" else delta2[:k]
 
 
-def _solve_stacked_faces(mblocks: np.ndarray, rblocks: np.ndarray) -> list[Tensor3]:
-    """Solve the block system sum_j M[i][j] * x_j = R[i] per DFT face.
+def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> list[Tensor3]:
+    """Solve the block system sum_j M[i][j] * x_j = R[i] on every DFT face.
 
-    ``mblocks`` has shape (k, k, q, q, n3) (row, column, then face matrices),
-    ``rblocks`` has shape (k, q, m, n3).  Faces are independent; only the
-    non-redundant half is solved and the rest filled by conjugacy.  Returns
-    the k solution tensors of dims (q, m, n3).
+    ``big`` is the (F, k*q, k*q) stack of half-spectrum faces of the block
+    matrix (block row i, block column j) and ``rhs`` the (F, k*q, m) stack
+    of the stacked right-hand sides.  Every face system must pass the guard
+    (largest singular value nonzero, smallest above 1e-14 times the
+    largest); the first face that fails raises.  All faces are then solved
+    in one batched call.  Returns the k solution tensors of dims (q, m, n3).
     """
-    k = mblocks.shape[0]
-    q = mblocks.shape[2]
-    m = rblocks.shape[2]
-    n3 = mblocks.shape[4]
-    xf = np.empty((k * q, m, n3), dtype=np.complex128)
-    for f in half_indices(n3):
-        big = mblocks[:, :, :, :, f].transpose(0, 2, 1, 3).reshape(k * q, k * q)
-        rhs = rblocks[:, :, :, f].reshape(k * q, m)
-        sv = np.linalg.svd(big, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-14 * sv[0]:
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-            raise SingularFaceError(
-                f"face {f} block system is singular to working precision "
-                f"(cond estimate {cond:.3e})",
-                face_index=f,
-                cond=cond,
-            )
-        xf[:, :, f] = np.linalg.solve(big, rhs)
-    fill_conjugate(xf)
-    solution = idft_faces(FaceDomainTensor(xf))
-    return [Tensor3(solution.data[j * q : (j + 1) * q, :, :]) for j in range(k)]
+    sv = _face_linalg(np.linalg.svd, big, compute_uv=False)
+    bad = np.flatnonzero((sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-14 * sv[:, 0]))
+    if bad.size:
+        f = int(bad[0])
+        cond = float(sv[f, 0] / sv[f, -1]) if sv[f, -1] > 0 else np.inf
+        raise SingularFaceError(
+            f"face {f} block system is singular to working precision "
+            f"(cond estimate {cond:.3e})",
+            face_index=f,
+            cond=cond,
+        )
+    solution = _unfaces(_face_linalg(np.linalg.solve, big, rhs), n3).data
+    q = big.shape[1] // k
+    return [Tensor3(solution[j * q : (j + 1) * q]) for j in range(k)]
+
+
+def _lateral_faces(tensors) -> np.ndarray:
+    """Half-spectrum faces of the tensors placed side by side (lateral
+    concatenation): face f holds the faces of the members as column blocks."""
+    return _faces(np.concatenate([t.data for t in tensors], axis=1))
 
 
 def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
@@ -216,9 +218,11 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
 
     Row i of the block system reads
     ``sum_j (ttranspose(l[i]) * v[j]) * beta_j = -ttranspose(l[i]) * rhs``.
-    Assembly and solve happen facewise: face f of each block is
-    ``conj(L_i)^H V_j`` which decouples the T-product structure into n3
-    dense complex systems of size (k*n2) x (k*n2).
+    Assembly and solve happen facewise: face f of block (i, j) is
+    ``L_i(f)^H V_j(f)``, so with the slices placed side by side the whole
+    face matrix is ``[L_1 .. L_k](f)^H [V_1 .. V_k](f)``, one batched
+    product over the half spectrum, which decouples the T-product structure
+    into dense complex systems of size (k*n2) x (k*n2).
 
     Raises
     ------
@@ -235,18 +239,9 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
         raise DimensionMismatchError(
             f"beta system shapes disagree: l {l.dims}, v {v.dims}, rhs {rhs.dims}"
         )
-    _, q, n3 = l.dims
-    lf = [np.fft.fft(li.data, axis=2) for li in l]
-    vf = [np.fft.fft(vj.data, axis=2) for vj in v]
-    rf = np.fft.fft(rhs.data, axis=2)
-    mblocks = np.empty((k, k, q, q, n3), dtype=np.complex128)
-    rblocks = np.empty((k, q, q, n3), dtype=np.complex128)
-    for i in range(k):
-        lih = lf[i].conj().transpose(1, 0, 2)
-        for j in range(k):
-            mblocks[i, j] = np.einsum("abf,bcf->acf", lih, vf[j])
-        rblocks[i] = -np.einsum("abf,bcf->acf", lih, rf)
-    return Stack4(_solve_stacked_faces(mblocks, rblocks))
+    lh = _lateral_faces(l).conj().swapaxes(1, 2)
+    big = lh @ _lateral_faces(v)
+    return Stack4(_solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3))
 
 
 def beta_to_gamma(beta: Stack4, regularize: bool = False) -> Stack4:
@@ -269,8 +264,7 @@ def beta_to_gamma(beta: Stack4, regularize: bool = False) -> Stack4:
     for b in beta:
         total = total + b
     if regularize:
-        faces = np.fft.fft(total.data, axis=2)
-        magnitude = float(np.max(np.linalg.norm(faces, axis=(0, 1))))
+        magnitude = float(np.max(np.linalg.norm(_faces(total.data), axis=(1, 2))))
         total = total + (1e-10 * magnitude) * eye
     inv = tinverse(total)
     out = [tprod(b, inv) for b in beta]
@@ -382,16 +376,14 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
         zero = Tensor3(np.zeros((n2, n2, n3)))
         return seq[n], Stack4([zero] * k)
     delta2 = [delta[j + 1] - delta[j] for j in range(2 * k - 1)]
-    yh = np.fft.fft(y.data, axis=2).conj().transpose(1, 0, 2)
-    d2f = [np.fft.fft(d.data, axis=2) for d in delta2]
-    d1f = [np.fft.fft(d.data, axis=2) for d in delta]
-    mblocks = np.empty((k, k, n2, n2, n3), dtype=np.complex128)
-    rblocks = np.empty((k, n2, n2, n3), dtype=np.complex128)
-    for j in range(k):
-        for i in range(1, k + 1):
-            mblocks[j, i - 1] = np.einsum("abf,bcf->acf", yh, d2f[i + j - 1])
-        rblocks[j] = -np.einsum("abf,bcf->acf", yh, d1f[j])
-    betas = _solve_stacked_faces(mblocks, rblocks)
+    yh = _faces(y.data).conj().swapaxes(1, 2)
+    # face blocks y^H D2S_m for every m side by side; block row j is the
+    # window m = j .. j+k-1, so the rows are Hankel
+    moments = yh @ _lateral_faces(delta2)
+    big = np.concatenate([moments[:, :, j * n2 : (j + k) * n2] for j in range(k)], axis=1)
+    first = -(yh @ _lateral_faces(delta[:k]))
+    rhs = np.concatenate([first[:, :, j * n2 : (j + 1) * n2] for j in range(k)], axis=1)
+    betas = _solve_stacked_faces(big, rhs, k, n3)
     e_k = seq[n]
     for i in range(1, k + 1):
         e_k = e_k + tprod(delta[i - 1], betas[i - 1])

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._facemath import fill_conjugate, half_indices
 from .errors import DimensionMismatchError, SingularFaceError
 from .tensor_core import (
-    FaceDomainTensor,
     Stack4,
     Stack5,
     Tensor3,
+    _face_linalg,
+    _faces,
+    _unfaces,
     frobenius_norm,
     identity_tensor,
-    idft_faces,
     zeros,
 )
 from .tproduct_algebra import tprod, ttranspose
@@ -151,11 +151,14 @@ def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
 def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
     """Face-domain left-inverse construction for a k x l grid.
 
-    Per DFT face the grid blocks are stacked into the matrix whose block
-    row ``j`` and block column ``tau`` is face ``f`` of ``b.block(tau, j)``;
-    a left inverse exists iff that matrix has full column rank for every
-    face, in which case its pseudoinverse supplies the blocks of the
-    result.  Existence is input-dependent: rank-deficient faces raise
+    The grid blocks are placed into one (l*n1) x (k*n2) x n3 tensor whose
+    block row ``j`` and block column ``tau`` is ``b.block(tau, j)``; a left
+    inverse exists iff every DFT face of it has full column rank, in which
+    case the face pseudoinverses supply the blocks of the result.  All
+    faces of the real-FFT half spectrum are pseudo-inverted in one batched
+    call, and a face counts as rank-deficient when its left-identity
+    residual ``|pinv @ face - I|`` exceeds ``tol``.  Existence is
+    input-dependent: the first rank-deficient face raises
     ``SingularFaceError``.
     """
     k, ell = b.grid_shape
@@ -164,27 +167,23 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
         raise DimensionMismatchError(
             f"no left inverse: stacked face system is {ell * n1} x {k * n2} (underdetermined)"
         )
-    # face transform of every block, kept as a (k, l) grid of (n1, n2, n3) arrays
-    bf = [[np.fft.fft(b.block(t, j).data, axis=2) for j in range(ell)] for t in range(k)]
-    out_faces = np.empty((k, ell, n2, n1, n3), dtype=np.complex128)
-    for f in half_indices(n3):
-        stacked = np.empty((ell * n1, k * n2), dtype=np.complex128)
-        for j in range(ell):
-            for tau in range(k):
-                stacked[j * n1 : (j + 1) * n1, tau * n2 : (tau + 1) * n2] = bf[tau][j][:, :, f]
-        pinv = np.linalg.pinv(stacked)
-        residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2))
-        if residual > tol:
-            raise SingularFaceError(
-                f"no left inverse: face {f} block system is rank-deficient "
-                f"(left-identity residual {residual:.3e})",
-                face_index=f,
-            )
-        for eta in range(k):
-            for j in range(ell):
-                out_faces[eta, j, :, :, f] = pinv[eta * n2 : (eta + 1) * n2, j * n1 : (j + 1) * n1]
-    fill_conjugate(out_faces)
+    grid = np.array([[b.block(tau, j).data for tau in range(k)] for j in range(ell)])
+    stacked = _faces(grid.transpose(0, 2, 1, 3, 4).reshape(ell * n1, k * n2, n3))
+    pinv = _face_linalg(np.linalg.pinv, stacked)
+    residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        f = int(bad[0])
+        raise SingularFaceError(
+            f"no left inverse: face {f} block system is rank-deficient "
+            f"(left-identity residual {residual[f]:.3e})",
+            face_index=f,
+        )
+    out = _unfaces(pinv, n3).data
     return Stack5(
-        tuple(idft_faces(FaceDomainTensor(out_faces[eta, j])) for j in range(ell))
+        tuple(
+            Tensor3(out[eta * n2 : (eta + 1) * n2, j * n1 : (j + 1) * n1])
+            for j in range(ell)
+        )
         for eta in range(k)
     )

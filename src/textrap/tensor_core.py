@@ -13,6 +13,13 @@ The DFT along mode 3 uses the unnormalized forward / normalized inverse
 convention: ``faces[:, :, f] = sum_j data[:, :, j] * w**(f*j)`` with
 ``w = exp(-2*pi*1j/n3)``.  ``n3`` may be any positive integer.
 
+Inside the package, face-domain work uses one format: the real-FFT half
+spectrum as an ``(F, m, n)`` stack with ``F = n3 // 2 + 1``, face first, so
+that per-face linear algebra is a single batched ``np.linalg`` call.  Face
+``n3 - f`` of a real tensor is the conjugate of face ``f``, so the half
+spectrum determines the tensor, and the inverse transform is real by
+construction.
+
 All slice and face indices in this package are 0-based.
 """
 
@@ -28,6 +35,7 @@ from .errors import (
     BadMagicError,
     DimensionMismatchError,
     DimensionOverflowError,
+    FaceSvdError,
     NumericalConsistencyError,
     OracleCapError,
     TensorFileError,
@@ -447,6 +455,48 @@ def idft_faces(f: FaceDomainTensor, tol: float = REAL_RESIDUE_TOL) -> Tensor3:
             f"(relative {residue / scale:.3e}, tolerance {tol:.1e})"
         )
     return Tensor3(arr.real)
+
+
+def _faces(data: np.ndarray) -> np.ndarray:
+    """Half-spectrum faces of a real ``(m, n, n3)`` array as an ``(F, m, n)`` stack."""
+    return np.moveaxis(np.fft.rfft(data, axis=2), 2, 0)
+
+
+def _unfaces(faces: np.ndarray, n3: int) -> Tensor3:
+    """The real ``(m, n, n3)`` tensor whose half-spectrum faces are ``faces``."""
+    return Tensor3(np.moveaxis(np.fft.irfft(faces, n=n3, axis=0), 0, 2))
+
+
+def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
+    """Per-face rows for all ``n3`` faces from the half-spectrum rows ``half``
+    of a real tensor (face ``n3 - f`` shares the spectrum of face ``f``)."""
+    f = np.arange(n3)
+    return half[np.minimum(f, n3 - f)]
+
+
+def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):
+    """``fn(faces, *args, **kwargs)`` for a batched ``np.linalg`` routine.
+
+    LAPACK may fail on non-finite entries, or never return, so a face with
+    a non-finite entry in ``faces`` or in a face-stack argument (such as a
+    right-hand side) is refused up front; that and a ``LinAlgError`` both
+    become ``FaceSvdError``, naming the first non-finite face when there is
+    one.
+    """
+    finite = np.isfinite(faces).all(axis=(1, 2))
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            finite &= np.isfinite(arg).all(axis=(1, 2))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise FaceSvdError(
+            f"{fn.__name__} refused: face {bad[0]} has non-finite entries",
+            face_index=int(bad[0]),
+        )
+    try:
+        return fn(faces, *args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise FaceSvdError(f"{fn.__name__} failed on the DFT faces: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,35 @@
 """The T-product and its derived algebra.
 
-All products are computed in the DFT face domain: transform both operands
-along mode 3, multiply matching complex faces, transform back.  This is
-equivalent to the block-circulant definition ``fold(bcirc(x) @ matvec(y))``
-but costs ``O(n1 n2 m2 n3)`` per face set instead of materializing the
-circulant.  ``bcirc`` itself stays in :mod:`textrap.tensor_core` as a capped
-test oracle.
+Everything is computed on the DFT faces: a T-product, an inverse or a
+definiteness test of real tensors is an independent matrix problem on each
+face of the real-FFT half spectrum (see :mod:`textrap.tensor_core`), solved
+for all faces at once by one batched ``np.linalg`` call, then transformed
+back.  This is equivalent to the block-circulant definition
+``fold(bcirc(x) @ matvec(y))`` but costs ``O(n1 n2 m2 n3)`` per face set
+instead of materializing the circulant.  ``bcirc`` itself stays in
+:mod:`textrap.tensor_core` as a capped test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._facemath import fill_conjugate, half_indices
 from .errors import DimensionMismatchError, SingularFaceError
 from .tensor_core import (
-    FaceDomainTensor,
     Tensor3,
     TubalScalar,
+    _face_linalg,
+    _faces,
+    _full_spectrum,
+    _unfaces,
     frobenius_norm,
     identity_tensor,
-    idft_faces,
 )
 
 __all__ = [
-    "TProductContext",
-    "DEFAULT_CONTEXT",
+    "INVERTIBILITY_THRESHOLD",
     "InvertibilityReport",
     "PenroseReport",
     "tprod",
@@ -41,35 +43,10 @@ __all__ = [
     "slice_product_entry",
 ]
 
-
-@dataclass
-class TProductContext:
-    """Configuration shared by T-product operations.
-
-    The forward/inverse transforms themselves are delegated to NumPy's FFT
-    (correct for arbitrary ``n3``, planned and cached internally), so the
-    context carries the remaining knobs: the oracle size cap and the relative
-    face-condition threshold below which a tensor is treated as singular.
-    ``dft_matrix`` memoizes explicit DFT matrices per ``n3`` for callers that
-    want the direct ``O(n3^2)`` transform; reuse never changes results.
-    """
-
-    oracle_cap: int | None = None
-    invertibility_threshold: float = 1e-12
-    _dft_cache: dict = field(default_factory=dict, repr=False)
-
-    def dft_matrix(self, n3: int) -> np.ndarray:
-        """Explicit n3 x n3 DFT matrix ``w**(f*j)`` with ``w = exp(-2i pi/n3)``."""
-        mat = self._dft_cache.get(n3)
-        if mat is None:
-            f, j = np.meshgrid(np.arange(n3), np.arange(n3), indexing="ij")
-            mat = np.exp(-2j * np.pi * f * j / n3)
-            mat.setflags(write=False)
-            self._dft_cache[n3] = mat
-        return mat
-
-
-DEFAULT_CONTEXT = TProductContext()
+#: relative face-condition threshold below which a tensor counts as
+#: singular: a face's smallest singular value at or below it times the
+#: largest singular value over all faces
+INVERTIBILITY_THRESHOLD = 1e-12
 
 
 def tprod(x: Tensor3, y: Tensor3) -> Tensor3:
@@ -110,15 +87,10 @@ def ttranspose(x: Tensor3) -> Tensor3:
 
 
 def _face_singular_values(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
-    """Per-face singular values: returns (faces, sv) with sv[f] sorted descending."""
-    faces = np.fft.fft(a.data, axis=2)
-    n3 = a.n3
-    sv = np.empty((n3, min(a.n1, a.n2)))
-    for f in half_indices(n3):
-        sv[f] = np.linalg.svd(faces[:, :, f], compute_uv=False)
-        if 0 < f < n3 - f:
-            sv[n3 - f] = sv[f]  # conjugate face, same spectrum
-    return faces, sv
+    """Half-spectrum faces and their singular values: returns (faces, sv)
+    with sv[f] sorted descending."""
+    faces = _faces(a.data)
+    return faces, _face_linalg(np.linalg.svd, faces, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -148,37 +120,28 @@ class InvertibilityReport:
         return self.invertible
 
 
-def is_invertible(
-    a: Tensor3,
-    threshold: float | None = None,
-    context: TProductContext = DEFAULT_CONTEXT,
-) -> InvertibilityReport:
+def is_invertible(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> InvertibilityReport:
     """Decide invertibility from the DFT faces.
 
     ``a`` is invertible exactly when every DFT face is nonsingular; the
     numerical test is that the smallest singular value across all faces,
-    relative to the largest, exceeds ``threshold`` (default from context,
-    1e-12).  The report carries per-face extremal singular values and is
-    truthy iff invertible.
+    relative to the largest, exceeds ``threshold``.  The report carries the
+    extremal singular values of all ``n3`` faces and is truthy iff
+    invertible.
     """
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"invertibility needs square slices, got {a.dims}")
-    if threshold is None:
-        threshold = context.invertibility_threshold
     _, sv = _face_singular_values(a)
-    face_min = sv[:, -1].copy()
-    face_max = sv[:, 0].copy()
+    sv = _full_spectrum(sv, a.n3)
+    face_min = sv[:, -1]
+    face_max = sv[:, 0]
     top = float(np.max(face_max))
     ok = top > 0 and float(np.min(face_min)) / top > threshold
     return InvertibilityReport(bool(ok), float(threshold), face_min, face_max)
 
 
-def tinverse(
-    a: Tensor3,
-    threshold: float | None = None,
-    context: TProductContext = DEFAULT_CONTEXT,
-) -> Tensor3:
-    """T-product inverse via per-face matrix inversion.
+def tinverse(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> Tensor3:
+    """T-product inverse via batched per-face matrix inversion.
 
     Raises
     ------
@@ -189,8 +152,6 @@ def tinverse(
     """
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"tinverse needs square slices, got {a.dims}")
-    if threshold is None:
-        threshold = context.invertibility_threshold
     faces, sv = _face_singular_values(a)
     top = float(np.max(sv[:, 0]))
     worst = int(np.argmin(sv[:, -1]))
@@ -203,11 +164,7 @@ def tinverse(
             face_index=worst,
             cond=cond,
         )
-    out = np.empty_like(faces)
-    for f in half_indices(a.n3):
-        out[:, :, f] = np.linalg.inv(faces[:, :, f])
-    fill_conjugate(out)
-    return idft_faces(FaceDomainTensor(out))
+    return _unfaces(_face_linalg(np.linalg.inv, faces), a.n3)
 
 
 def tscalar_product(x: Tensor3, y: Tensor3) -> TubalScalar:
@@ -267,14 +224,10 @@ def is_positive_definite(
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"definiteness needs square slices, got {a.dims}")
     if mode == "face":
-        faces = np.fft.fft(a.data, axis=2)
-        eig_min = np.inf
-        scale = 0.0
-        for f in half_indices(a.n3):
-            h = faces[:, :, f]
-            w = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-            eig_min = min(eig_min, float(w[0]))
-            scale = max(scale, float(np.max(np.abs(w))))
+        faces = _faces(a.data)
+        w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + faces.conj().swapaxes(1, 2)))
+        eig_min = float(np.min(w[:, 0]))
+        scale = float(np.max(np.abs(w)))
         if semi:
             return eig_min >= -tol * scale
         return eig_min > tol * scale

@@ -42,13 +42,8 @@ from .errors import (
     NumericalConsistencyError,
     SingularFaceError,
 )
-from .tensor_core import (
-    FaceDomainTensor,
-    Tensor3,
-    frobenius_norm,
-    idft_faces,
-)
-from .tproduct_algebra import DEFAULT_CONTEXT, tprod, ttranspose
+from .tensor_core import Tensor3, _unfaces, frobenius_norm
+from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
 from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
 
 __all__ = [
@@ -69,15 +64,14 @@ DEFAULT_THETA_SHIFT = 1e-10
 class TtsvdSequenceState:
     """TTSVD partial-sum sequence with its extrapolation intermediates.
 
-    ``deltas[j]``, ``thetas[j]`` and ``sdeltas[j]`` belong to retained term
-    j+1 (1-based); terms whose delta vanished are dropped and the sequence
-    reindexed, with the surviving original indices in ``kept_indices``.
-    ``partial_sums`` has one extra leading entry, S_0 = 0.
+    ``deltas[j]`` and ``sdeltas[j]`` belong to retained term j+1 (1-based);
+    terms whose delta vanished are dropped and the sequence reindexed, with
+    the surviving original indices in ``kept_indices``.  ``partial_sums``
+    has one extra leading entry, S_0 = 0.
     """
 
     factors: TsvdFactors
     deltas: list
-    thetas: list
     sdeltas: list
     partial_sums: list
     kept_indices: tuple
@@ -106,13 +100,13 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
         raise DimensionMismatchError(f"k_max = {k_max} leaves no usable terms")
     s = b.n2
     factors = tsvd(a)
-    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values)
-    deltas, thetas, sdeltas, kept = [], [], [], []
+    # the pseudo-inverted singular tubes d_j^+ side by side, 1 x limit x n3
+    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[: n3 // 2 + 1])
+    d_dag = _unfaces(inv_sv[:, None, :limit], n3)
+    deltas, sdeltas, kept = [], [], []
     for j in range(limit):
-        dj_faces = inv_sv[:, j].astype(np.complex128).reshape(1, 1, n3)
-        dj_dag = idft_faces(FaceDomainTensor(dj_faces))
         uj = factors.u.lateral_slice(j)
-        delta = tprod(tprod(dj_dag, ttranspose(uj)), b)
+        delta = tprod(tprod(d_dag.lateral_slice(j), ttranspose(uj)), b)
         if delta.dims != (1, s, n3):
             raise NumericalConsistencyError(
                 f"delta term has dims {delta.dims}, expected {(1, s, n3)}"
@@ -120,7 +114,6 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
         if frobenius_norm(delta) == 0.0:
             continue
         deltas.append(delta)
-        thetas.append(tprod(ttranspose(delta), delta))
         sdeltas.append(tprod(factors.v.lateral_slice(j), delta))
         kept.append(j + 1)
     partial_sums = [Tensor3(np.zeros((n2, s, n3)))]
@@ -129,7 +122,6 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     return TtsvdSequenceState(
         factors=factors,
         deltas=deltas,
-        thetas=thetas,
         sdeltas=sdeltas,
         partial_sums=partial_sums,
         kept_indices=tuple(kept),
@@ -203,8 +195,9 @@ def _first_singular_theta(shifted: np.ndarray) -> int:
     """Index of the first shifted Theta that ``tinverse`` would refuse, or
     the number of Thetas if none: a face value at or below the invertibility
     threshold times the largest face value of that Theta."""
-    threshold = DEFAULT_CONTEXT.invertibility_threshold
-    bad = np.flatnonzero(shifted.min(axis=1) <= threshold * shifted.max(axis=1))
+    bad = np.flatnonzero(
+        shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
+    )
     return int(bad[0]) if bad.size else len(shifted)
 
 

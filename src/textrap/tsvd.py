@@ -1,16 +1,16 @@
 """Tensor SVD, truncation, tubal rank, and minimum-norm least squares.
 
-The decomposition works one DFT face at a time: each complex face gets an
-ordinary SVD, the per-face factors are transformed back along mode 3, and
-``a = u * s * v^T`` holds under the T-product.  Factors are kept in economy
-form: ``u`` is n1 x r x n3, ``s`` is r x r x n3 and F-diagonal, ``v`` is
-n2 x r x n3, with ``r = min(n1, n2)`` in the full case.  Column slices of
-``u`` and ``v`` are orthonormal under the T-scalar product; ``u`` and ``v``
-are orthogonal tensors outright whenever they are square.
-
-Only faces ``0 .. n3 // 2`` are decomposed; the remaining faces are filled
-by conjugate symmetry, which makes the inverse transform real by
-construction instead of merely in expectation.
+The decomposition is an ordinary SVD of every DFT face: one batched
+``np.linalg.svd`` over the real-FFT half spectrum (faces ``0 .. n3 // 2``,
+see :mod:`textrap.tensor_core`), whose factors are transformed back along
+mode 3 so that ``a = u * s * v^T`` holds under the T-product.  The other
+faces are the conjugates of these, so the inverse transform is real by
+construction.  Factors are kept in economy form: ``u`` is n1 x r x n3,
+``s`` is r x r x n3 and F-diagonal, ``v`` is n2 x r x n3, with
+``r = min(n1, n2)`` in the full case.  Column slices of ``u`` and ``v``
+are orthonormal under the T-scalar product; ``u`` and ``v`` are orthogonal
+tensors outright whenever they are square.  The least-squares solve and the
+tubal rank use the same batched face format.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ._facemath import fill_conjugate, half_indices
-from .errors import DimensionMismatchError, FaceSvdError
+from .errors import DimensionMismatchError
 from .tensor_core import (
-    FaceDomainTensor,
     Tensor3,
     TubalScalar,
+    _face_linalg,
+    _faces,
+    _full_spectrum,
+    _unfaces,
     frobenius_norm,
     identity_tensor,
-    idft_faces,
     read_tns3,
     write_tns3,
 )
@@ -102,38 +103,25 @@ class TsvdFactors:
         return float(np.max(np.abs(off))) if off.size else 0.0
 
 
-def _face_svd(face: np.ndarray, f: int):
-    try:
-        return np.linalg.svd(face, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise FaceSvdError(f"SVD failed on face {f}: {exc}", face_index=f) from exc
+def _diagonal(values: np.ndarray, n3: int) -> Tensor3:
+    """The r x r x n3 F-diagonal tensor whose diagonal tubes have the
+    half-spectrum faces ``values`` (shape (F, r))."""
+    r = values.shape[1]
+    data = np.zeros((r, r, n3))
+    data[np.arange(r), np.arange(r), :] = np.fft.irfft(values, n=n3, axis=0).T
+    return Tensor3(data)
 
 
 def tsvd(a: Tensor3) -> TsvdFactors:
     """Full tensor SVD: ``a = u * s * v^T`` with r = min(n1, n2) triplets."""
-    n1, n2, n3 = a.dims
-    r = min(n1, n2)
-    faces = np.fft.fft(a.data, axis=2)
-    uf = np.empty((n1, r, n3), dtype=np.complex128)
-    vf = np.empty((n2, r, n3), dtype=np.complex128)
-    sv = np.empty((n3, r))
-    for f in half_indices(n3):
-        mu, sig, vh = _face_svd(faces[:, :, f], f)
-        uf[:, :, f] = mu
-        vf[:, :, f] = vh.conj().T
-        sv[f] = sig
-        if 0 < f < n3 - f:
-            sv[n3 - f] = sig  # conjugate face shares the spectrum
-    fill_conjugate(uf)
-    fill_conjugate(vf)
-    sfaces = np.zeros((r, r, n3), dtype=np.complex128)
-    sfaces[np.arange(r), np.arange(r), :] = sv.T
+    n3 = a.n3
+    uf, sv, vh = _face_linalg(np.linalg.svd, _faces(a.data), full_matrices=False)
     return TsvdFactors(
-        u=idft_faces(FaceDomainTensor(uf)),
-        s=idft_faces(FaceDomainTensor(sfaces)),
-        v=idft_faces(FaceDomainTensor(vf)),
-        r=r,
-        face_singular_values=sv,
+        u=_unfaces(uf, n3),
+        s=_diagonal(sv, n3),
+        v=_unfaces(vh.conj().swapaxes(1, 2), n3),
+        r=sv.shape[1],
+        face_singular_values=_full_spectrum(sv, n3),
     )
 
 
@@ -175,12 +163,9 @@ def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:
         raise DimensionMismatchError(
             f"truncation index k = {k} outside 1 .. {min(n1, n2)} for dims {a.dims}"
         )
-    full = tsvd(a)
-    factors = _truncate(full, k)
-    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values)
-    sdag_faces = np.zeros((k, k, a.n3), dtype=np.complex128)
-    sdag_faces[np.arange(k), np.arange(k), :] = inv_sv.T
-    sdag = idft_faces(FaceDomainTensor(sdag_faces))
+    factors = _truncate(tsvd(a), k)
+    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[: a.n3 // 2 + 1])
+    sdag = _diagonal(inv_sv, a.n3)
     mp_inverse = tprod(tprod(factors.v, sdag), ttranspose(factors.u))
     return factors, mp_inverse
 
@@ -202,19 +187,15 @@ def tls_solve(a: Tensor3, b: Tensor3) -> Tensor3:
     """Minimum-norm least-squares solution of ``a * x = b``.
 
     Returns ``a^+ * b`` computed facewise: every DFT face of the result is
-    the matrix pseudoinverse of the corresponding face of ``a`` applied to
-    the face of ``b``.  Among all ``x`` minimizing ``frobenius_norm(a*x - b)``
+    the matrix pseudoinverse of the corresponding face of ``a`` (relative
+    cutoff ``PINV_RCOND``) applied to the face of ``b``, all faces in one
+    batched call.  Among all ``x`` minimizing ``frobenius_norm(a*x - b)``
     this solution has the smallest Frobenius norm.
     """
     if a.n1 != b.n1 or a.n3 != b.n3:
         raise DimensionMismatchError(f"tls_solve shapes disagree: {a.dims} vs {b.dims}")
-    afaces = np.fft.fft(a.data, axis=2)
-    bfaces = np.fft.fft(b.data, axis=2)
-    out = np.empty((a.n2, b.n2, a.n3), dtype=np.complex128)
-    for f in half_indices(a.n3):
-        out[:, :, f] = np.linalg.pinv(afaces[:, :, f], rcond=PINV_RCOND) @ bfaces[:, :, f]
-    fill_conjugate(out)
-    return idft_faces(FaceDomainTensor(out))
+    pinv = _face_linalg(np.linalg.pinv, _faces(a.data), rcond=PINV_RCOND)
+    return _unfaces(pinv @ _faces(b.data), a.n3)
 
 
 def tubal_rank(a: Tensor3, tol: float = 1e-10) -> int:
@@ -222,8 +203,8 @@ def tubal_rank(a: Tensor3, tol: float = 1e-10) -> int:
 
     Counts indices j with ``max_f sigma_j(f) > tol * max_f sigma_1(f)``.
     """
-    sv = tsvd(a).face_singular_values
-    top = float(np.max(sv[:, 0])) if sv.size else 0.0
+    sv = _face_linalg(np.linalg.svd, _faces(a.data), compute_uv=False)
+    top = float(np.max(sv[:, 0]))
     return int(np.sum(np.max(sv, axis=0) > tol * top))
 
 

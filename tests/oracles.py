@@ -7,9 +7,12 @@ textbook vector-extrapolation formulas in their classical
 gamma-parameterized forms.  None of it shares code paths with the
 package implementations it is used to validate.
 
-The exception is the last section: the tensor-level TRRE-TTSVD step
+Two sections are exceptions.  The per-face loop forms transform with the
+full complex ``fft``, solve one face at a time in a Python loop and mirror
+the conjugate faces by hand; they are the references for the package's
+batched half-spectrum face kernel.  The tensor-level TRRE-TTSVD step
 (closed-form beta by T-product inverses, the trace-identity residual and
-eta), built from the package's T-product primitives.  It is the reference
+eta) is built from the package's T-product primitives; it is the reference
 for the face-domain solver, which shares none of that arithmetic.
 """
 
@@ -19,6 +22,7 @@ from textrap import (
     DimensionMismatchError,
     InsufficientSequenceError,
     NumericalConsistencyError,
+    SingularFaceError,
     Stack4,
     Tensor3,
     frobenius_norm,
@@ -114,6 +118,139 @@ def face_singular_values(data: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-face loop forms (references for the batched half-spectrum face kernel)
+
+
+def _half(n3: int) -> range:
+    """Faces 0 .. n3 // 2; the others are conjugates of these."""
+    return range(n3 // 2 + 1)
+
+
+def _mirror(faces: np.ndarray) -> np.ndarray:
+    """Fill faces n3//2 + 1 .. (last axis) with conjugates of their mirrors."""
+    n3 = faces.shape[-1]
+    for f in range(1, (n3 - 1) // 2 + 1):
+        faces[..., n3 - f] = np.conj(faces[..., f])
+    return faces
+
+
+def _inverse_dft(faces: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(_mirror(faces), axis=-1).real
+
+
+def loop_tsvd(data: np.ndarray):
+    """(u, s, v, sv) of the tensor SVD, one face SVD at a time; sv is the
+    (n3, r) full-spectrum table of face singular values."""
+    n1, n2, n3 = data.shape
+    r = min(n1, n2)
+    faces = np.fft.fft(data, axis=2)
+    uf = np.empty((n1, r, n3), dtype=np.complex128)
+    vf = np.empty((n2, r, n3), dtype=np.complex128)
+    sf = np.zeros((r, r, n3), dtype=np.complex128)
+    sv = np.empty((n3, r))
+    for f in _half(n3):
+        mu, sig, vh = np.linalg.svd(faces[:, :, f], full_matrices=False)
+        uf[:, :, f], vf[:, :, f] = mu, vh.conj().T
+        sv[f] = sv[(n3 - f) % n3] = sig
+    sf[np.arange(r), np.arange(r), :] = sv.T
+    return _inverse_dft(uf), _inverse_dft(sf), _inverse_dft(vf), sv
+
+
+def loop_ttsvd_pinv(data: np.ndarray, k: int, rcond: float = 1e-13) -> np.ndarray:
+    """v_k * s_k^+ * u_k^T face by face: the rank-k Moore-Penrose approximation."""
+    n1, n2, n3 = data.shape
+    faces = np.fft.fft(data, axis=2)
+    out = np.empty((n2, n1, n3), dtype=np.complex128)
+    for f in _half(n3):
+        mu, sig, vh = np.linalg.svd(faces[:, :, f], full_matrices=False)
+        inv = np.where(sig[:k] > rcond * sig[0], 1.0 / sig[:k], 0.0)
+        out[:, :, f] = (vh[:k].conj().T * inv) @ mu[:, :k].conj().T
+    return _inverse_dft(out)
+
+
+def loop_tls_solve(a: np.ndarray, b: np.ndarray, rcond: float = 1e-13) -> np.ndarray:
+    """pinv(face of a) @ face of b, one face at a time."""
+    af = np.fft.fft(a, axis=2)
+    bf = np.fft.fft(b, axis=2)
+    out = np.empty((a.shape[1], b.shape[1], a.shape[2]), dtype=np.complex128)
+    for f in _half(a.shape[2]):
+        out[:, :, f] = np.linalg.pinv(af[:, :, f], rcond=rcond) @ bf[:, :, f]
+    return _inverse_dft(out)
+
+
+def loop_tinverse(data: np.ndarray, threshold: float = 1e-12) -> np.ndarray:
+    """Per-face inverse after the rule: the face whose smallest singular
+    value is least must stay above ``threshold`` times the largest singular
+    value over all faces, else SingularFaceError names that face."""
+    n3 = data.shape[2]
+    faces = np.fft.fft(data, axis=2)
+    sv = np.empty((n3, data.shape[0]))
+    for f in _half(n3):
+        sv[f] = sv[(n3 - f) % n3] = np.linalg.svd(faces[:, :, f], compute_uv=False)
+    worst = int(np.argmin(sv[:, -1]))
+    if sv[worst, -1] <= threshold * np.max(sv[:, 0]):
+        raise SingularFaceError(f"face {worst} is singular", face_index=worst)
+    out = np.empty_like(faces)
+    for f in _half(n3):
+        out[:, :, f] = np.linalg.inv(faces[:, :, f])
+    return _inverse_dft(out)
+
+
+def loop_positive_definite(data: np.ndarray, semi: bool = False, tol: float = 1e-12) -> bool:
+    """Sign of the smallest eigenvalue of the Hermitian parts of the faces."""
+    faces = np.fft.fft(data, axis=2)
+    eig_min, scale = np.inf, 0.0
+    for f in _half(data.shape[2]):
+        h = faces[:, :, f]
+        w = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+        eig_min = min(eig_min, float(w[0]))
+        scale = max(scale, float(np.max(np.abs(w))))
+    return eig_min >= -tol * scale if semi else eig_min > tol * scale
+
+
+def loop_beta_system(l, v, rhs) -> list:
+    """Solve sum_j (l_i^T * v_j) * beta_j = -(l_i^T * rhs) one face at a
+    time, after the guard: the first face whose block matrix has smallest
+    singular value at most 1e-14 times its largest raises."""
+    k = len(l)
+    n3 = rhs.shape[2]
+    q, m = l[0].shape[1], rhs.shape[1]
+    lf = [np.fft.fft(x, axis=2) for x in l]
+    vf = [np.fft.fft(x, axis=2) for x in v]
+    rf = np.fft.fft(rhs, axis=2)
+    xf = np.empty((k * q, m, n3), dtype=np.complex128)
+    for f in _half(n3):
+        big = np.block([[lf[i][:, :, f].conj().T @ vf[j][:, :, f] for j in range(k)]
+                        for i in range(k)])
+        right = np.vstack([-lf[i][:, :, f].conj().T @ rf[:, :, f] for i in range(k)])
+        sv = np.linalg.svd(big, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= 1e-14 * sv[0]:
+            raise SingularFaceError(f"face {f} block system is singular", face_index=f)
+        xf[:, :, f] = np.linalg.solve(big, right)
+    sol = _inverse_dft(xf)
+    return [sol[j * q : (j + 1) * q] for j in range(k)]
+
+
+def loop_left_inverse(grid, tol: float = 1e-8):
+    """Blocks of the grid left inverse from per-face pseudoinverses of the
+    stacked face matrices; ``grid[tau][j]`` is block (tau, j).  The first
+    face whose left-identity residual exceeds ``tol`` raises."""
+    k, ell = len(grid), len(grid[0])
+    n1, n2, n3 = grid[0][0].shape
+    bf = [[np.fft.fft(x, axis=2) for x in row] for row in grid]
+    out = np.empty((k * n2, ell * n1, n3), dtype=np.complex128)
+    for f in _half(n3):
+        stacked = np.block([[bf[tau][j][:, :, f] for tau in range(k)] for j in range(ell)])
+        pinv = np.linalg.pinv(stacked)
+        if np.linalg.norm(pinv @ stacked - np.eye(k * n2)) > tol:
+            raise SingularFaceError(f"face {f} block system is rank-deficient", face_index=f)
+        out[:, :, f] = pinv
+    sol = _inverse_dft(out)
+    return [[sol[eta * n2 : (eta + 1) * n2, j * n1 : (j + 1) * n1] for j in range(ell)]
+            for eta in range(k)]
+
+
+# ---------------------------------------------------------------------------
 # classical vector extrapolation (the n3 = 1, width-1 reduction targets)
 
 
@@ -203,6 +340,11 @@ def plain_truncation_errors(a: np.ndarray, b: np.ndarray, x_true: np.ndarray):
 # ---------------------------------------------------------------------------
 # tensor-level TRRE-TTSVD step (reference for the face-domain solver)
 
+
+def sequence_thetas(state) -> list:
+    """Theta_j = delta_j^T * delta_j for every retained term of the state."""
+    return [tprod(ttranspose(d), d) for d in state.deltas]
+
 def _checked_inverse(theta: Tensor3, shift) -> Tensor3:
     eye = identity_tensor(theta.n1, theta.n3)
     shifted = theta if not shift else theta + float(shift) * eye
@@ -247,7 +389,7 @@ def trre_tsvd_step(state, k: int, shift=DEFAULT_THETA_SHIFT):
         raise InsufficientSequenceError(
             f"step k={k} needs k+1={k + 1} sequence terms, state has {state.count}"
         )
-    beta = closed_form_beta(state.thetas, k, shift)
+    beta = closed_form_beta(sequence_thetas(state), k, shift)
     s = beta.dims[0]
     n3 = beta.dims[2]
     eye = identity_tensor(s, n3)
@@ -303,7 +445,8 @@ def eta_ratio(state, t_k: Tensor3, t_k1: Tensor3, alphas_k: Stack4, alphas_k1: S
         raise DimensionMismatchError(
             f"alpha stacks must have consecutive widths, got {k} and {alphas_k1.count}"
         )
-    if len(state.thetas) < k + 1:
+    thetas = sequence_thetas(state)
+    if len(thetas) < k + 1:
         raise InsufficientSequenceError(f"eta at width {k} needs {k + 1} theta terms")
     if frobenius_norm(t_k) == 0.0:
         raise NumericalConsistencyError("eta undefined: previous extrapolant has zero norm")
@@ -311,12 +454,12 @@ def eta_ratio(state, t_k: Tensor3, t_k1: Tensor3, alphas_k: Stack4, alphas_k1: S
     def quad(theta: Tensor3, left: Tensor3, right: Tensor3) -> float:
         return _first_slice_trace(tprod(tprod(ttranspose(left), theta), right))
 
-    num_sq = quad(state.thetas[k], alphas_k1[k], alphas_k1[k])
+    num_sq = quad(thetas[k], alphas_k1[k], alphas_k1[k])
     den_sq = 0.0
     for j in range(k):
         diff = alphas_k1[j] - alphas_k[j]
-        num_sq += quad(state.thetas[j], diff, diff)
-        den_sq += quad(state.thetas[j], alphas_k[j], alphas_k[j])
+        num_sq += quad(thetas[j], diff, diff)
+        den_sq += quad(thetas[j], alphas_k[j], alphas_k[j])
     guard = 1e-10 * max(1.0, frobenius_norm(t_k) ** 2, frobenius_norm(t_k1) ** 2)
     if num_sq < -guard or den_sq < -guard:
         raise NumericalConsistencyError(
@@ -335,12 +478,13 @@ def trre_tsvd_path(state, shift=DEFAULT_THETA_SHIFT, x_true=None) -> dict:
     (with ``x_true``) the relative error.  The k = 1 row is S_1."""
     out = {"ks": [1], "t": [state.partial_sums[1]], "residual_norms": [None],
            "eta_ratios": [None]}
+    thetas = sequence_thetas(state)
     for k in range(2, state.count):
         t_k, gamma, _ = trre_tsvd_step(state, k, shift)
         t_prev = out["t"][-1]
         out["ks"].append(k)
         out["t"].append(t_k)
-        out["residual_norms"].append(residual_norm(state.thetas, gamma, k))
+        out["residual_norms"].append(residual_norm(thetas, gamma, k))
         out["eta_ratios"].append(frobenius_norm(t_k - t_prev) / frobenius_norm(t_prev))
     out["t_norms"] = [frobenius_norm(t) for t in out["t"]]
     if x_true is not None:

@@ -22,6 +22,7 @@ from oracles import (
     closed_form_beta,
     face_singular_values,
     plain_truncation_errors,
+    sequence_thetas,
     trre_tsvd_step,
 )
 from textrap import (
@@ -267,14 +268,15 @@ def test_criterion_08_solver_internal_consistency():
         state = build_sequence(a, b)
         k = int(rng.integers(2, min(5, state.count)))
         # closed-form coefficients satisfy the coupled two-term recursion
-        beta = closed_form_beta(state.thetas, k, shift=None)
-        scale = max(frobenius_norm(t) for t in state.thetas[: k + 1])
+        thetas = sequence_thetas(state)
+        beta = closed_form_beta(thetas, k, shift=None)
+        scale = max(frobenius_norm(t) for t in thetas[: k + 1])
         sub = 0.0
         for i in range(k - 1):
-            row = (-tprod(state.thetas[i], beta[i])
-                   + tprod(state.thetas[i + 1], beta[i + 1]))
+            row = (-tprod(thetas[i], beta[i])
+                   + tprod(thetas[i + 1], beta[i + 1]))
             sub = max(sub, frobenius_norm(row))
-        last = -tprod(state.thetas[k - 1], beta[k - 1]) + state.thetas[k]
+        last = -tprod(thetas[k - 1], beta[k - 1]) + thetas[k]
         sub = max(sub, frobenius_norm(last))
         worst_sub = max(worst_sub, sub / scale)
         # the solver's closed-form residual norm equals the norm of the

@@ -376,6 +376,22 @@ def test_extrapolate_usage_errors(tmp_path, capsys):
     assert code == 2 and "input" in err
 
 
+def test_extrapolate_non_finite_sequence_is_runtime_error(tmp_path, capsys):
+    terms = [Tensor3(RNG.standard_normal((4, 1, 3))) for _ in range(5)]
+    data = terms[2].data.copy()
+    data[1, 0, 2] = np.nan
+    terms[2] = Tensor3(data)
+    path = tmp_path / "nan.tns4"
+    write_tns4(Stack4(terms), path)
+    with np.errstate(invalid="ignore"):
+        code, report, err = run_cli(
+            ["extrapolate", "-i", path, "--method", "trre", "--k", 2,
+             "-o", tmp_path / "out.tns3"], capsys
+        )
+    assert code == 1 and report is None
+    assert err.startswith("error:") and "non-finite" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

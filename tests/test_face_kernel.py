@@ -1,0 +1,209 @@
+"""The batched half-spectrum face kernel against the per-face loop forms.
+
+Every routine that solves one matrix problem per DFT face is checked
+against its loop reference in ``oracles`` (full complex ``fft``, one face
+at a time, conjugate faces mirrored by hand) or against the dense
+block-circulant oracles, over n3 values that cover n3 = 1, odd n3 and an
+even n3 with its real Nyquist face.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import (
+    bcirc_pinv_apply,
+    bcirc_pinv_tensor,
+    face_singular_values,
+    loop_beta_system,
+    loop_left_inverse,
+    loop_positive_definite,
+    loop_tinverse,
+    loop_tls_solve,
+    loop_ttsvd_pinv,
+    loop_tsvd,
+)
+from textrap import (
+    FaceSvdError,
+    SingularFaceError,
+    Stack4,
+    Stack5,
+    Tensor3,
+    TextrapError,
+    TensorSequence,
+    build_sequence,
+    extrapolate,
+    identity_tensor,
+    is_invertible,
+    is_positive_definite,
+    left_inverse,
+    solve,
+    solve_beta_system,
+    tinverse,
+    tls_solve,
+    tprod,
+    tsvd,
+    ttea_solve,
+    ttranspose,
+    ttsvd,
+    tubal_rank,
+)
+
+N3S = (1, 2, 3, 4, 7, 8)
+RNG = np.random.default_rng(20261018)
+
+
+def rand(*dims):
+    return RNG.standard_normal(dims)
+
+
+def from_faces(faces: np.ndarray, n3: int) -> np.ndarray:
+    """Real tensor with the given half-spectrum faces (last axis)."""
+    return np.fft.irfft(faces, n=n3, axis=-1)
+
+
+def random_faces(n1, n2, n3):
+    f = n3 // 2 + 1
+    return rand(n1, n2, f) + 1j * rand(n1, n2, f)
+
+
+def singular_faces(n3: int) -> list:
+    """Faces to make singular: the last half-spectrum face (the Nyquist
+    face for even n3) and the one below it."""
+    return sorted({n3 // 2, max(n3 // 2 - 1, 0)})
+
+
+def close(x, ref, tol=1e-10):
+    x = x.data if isinstance(x, Tensor3) else np.asarray(x)
+    ref = np.asarray(ref)
+    return np.linalg.norm(x - ref) <= tol * max(1.0, np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("n3", N3S)
+def test_batched_face_routines_match_loop_oracles(n3):
+    a = rand(5, 4, n3)
+    b = rand(5, 2, n3)
+    factors = tsvd(Tensor3(a))
+    u, s, v, sv = loop_tsvd(a)
+    assert close(factors.u, u) and close(factors.s, s) and close(factors.v, v)
+    assert factors.face_singular_values.shape == (n3, 4)
+    assert close(factors.face_singular_values, sv)
+    assert close(factors.face_singular_values, face_singular_values(a))
+    assert tubal_rank(Tensor3(a)) == 4
+
+    _, mp2 = ttsvd(Tensor3(a), 2)
+    assert close(mp2, loop_ttsvd_pinv(a, 2))
+    _, mp = ttsvd(Tensor3(a), 4)
+    assert close(mp, bcirc_pinv_tensor(a), 1e-9)
+
+    x = tls_solve(Tensor3(a), Tensor3(b))
+    assert close(x, loop_tls_solve(a, b))
+    assert close(x, bcirc_pinv_apply(a, b), 1e-9)
+
+    c = rand(4, 4, n3) + 4.0 * identity_tensor(4, n3).data
+    assert close(tinverse(Tensor3(c)), loop_tinverse(c))
+    report = is_invertible(Tensor3(c))
+    assert report and report.face_min_sv.shape == (n3,)
+    assert close(report.face_min_sv, face_singular_values(c)[:, -1])
+
+    g = Tensor3(rand(3, 4, n3))
+    gram = tprod(ttranspose(g), g)  # rank 3 of 4: semidefinite only
+    for t, semi in ((gram, True), (gram, False), (-1.0 * gram, True),
+                    (gram + identity_tensor(4, n3), False)):
+        assert is_positive_definite(t, semi=semi) == loop_positive_definite(t.data, semi)
+
+    l = [rand(6, 2, n3) for _ in range(2)]
+    w = [rand(6, 2, n3) for _ in range(2)]
+    rhs = rand(6, 2, n3)
+    beta = solve_beta_system(Stack4(l), Stack4(w), Tensor3(rhs))
+    for got, want in zip(beta, loop_beta_system(l, w, rhs)):
+        assert close(got, want)
+
+    grid = [[rand(3, 2, n3) for _ in range(3)] for _ in range(2)]
+    inv = left_inverse(Stack5(grid))
+    want = loop_left_inverse(grid)
+    for eta in range(2):
+        for j in range(3):
+            assert close(inv.block(eta, j), want[eta][j])
+
+    # TTEA's Hankel system: sum_i (y^T * D2S_{i+j-1}) * beta_i = -(y^T * DS_j)
+    terms = [Tensor3(rand(6, 2, n3)) for _ in range(6)]
+    y = Tensor3(rand(6, 2, n3))
+    _, betas = ttea_solve(TensorSequence(terms), 0, 2, y)
+    ds = [terms[j + 1] - terms[j] for j in range(5)]
+    d2s = [ds[j + 1] - ds[j] for j in range(4)]
+    yt = ttranspose(y)
+    for j in range(2):
+        right = tprod(yt, ds[j])
+        row = right
+        for i in range(1, 3):
+            row = row + tprod(tprod(yt, d2s[i + j - 1]), betas[i - 1])
+        assert close(row, np.zeros(row.dims), 1e-9 * max(1.0, np.linalg.norm(right.data)))
+
+
+@pytest.mark.parametrize("n3", N3S)
+def test_singular_face_index_matches_loop_oracles(n3):
+    bad = singular_faces(n3)
+
+    # tinverse names the face whose smallest singular value is least
+    faces = random_faces(4, 4, n3)
+    faces[3, :, bad[-1]] = faces[0, :, bad[-1]]
+    a = from_faces(faces, n3)
+    with pytest.raises(SingularFaceError) as got:
+        tinverse(Tensor3(a))
+    with pytest.raises(SingularFaceError) as want:
+        loop_tinverse(a)
+    assert got.value.face_index == want.value.face_index == bad[-1]
+    assert not is_invertible(Tensor3(a))
+
+    # the block systems name the first failing face
+    l = [from_faces(random_faces(6, 2, n3), n3) for _ in range(2)]
+    wf = [random_faces(6, 2, n3) for _ in range(2)]
+    wf[1][:, :, bad] = wf[0][:, :, bad]
+    w = [from_faces(x, n3) for x in wf]
+    rhs = rand(6, 2, n3)
+    with pytest.raises(SingularFaceError) as got:
+        solve_beta_system(Stack4(l), Stack4(w), Tensor3(rhs))
+    with pytest.raises(SingularFaceError) as want:
+        loop_beta_system(l, w, rhs)
+    assert got.value.face_index == want.value.face_index == bad[0]
+
+    gf = [[random_faces(3, 1, n3) for _ in range(3)] for _ in range(2)]
+    for j in range(3):
+        gf[1][j][:, :, bad] = gf[0][j][:, :, bad]
+    grid = [[from_faces(x, n3) for x in row] for row in gf]
+    with pytest.raises(SingularFaceError) as got:
+        left_inverse(Stack5(grid))
+    with pytest.raises(SingularFaceError) as want:
+        loop_left_inverse(grid)
+    assert got.value.face_index == want.value.face_index == bad[0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_raises_typed_error(value):
+    n3 = 4
+    data = rand(4, 4, n3)
+    data[1, 2, 3] = value
+    a = Tensor3(data)
+    calls = [
+        lambda: tinverse(a),
+        lambda: is_invertible(a),
+        lambda: tls_solve(a, Tensor3(rand(4, 1, n3))),
+        lambda: is_positive_definite(a),
+        lambda: tsvd(a),
+        lambda: ttsvd(a, 2),
+        lambda: tubal_rank(a),
+        lambda: build_sequence(a, Tensor3(rand(4, 1, n3))),
+        lambda: solve(a, Tensor3(rand(4, 1, n3))),
+        lambda: solve_beta_system(Stack4([a]), Stack4([a]), Tensor3(rand(4, 4, n3))),
+        lambda: left_inverse(Stack5([[a]])),
+        lambda: extrapolate(TensorSequence([Tensor3(rand(4, 4, n3)), a, a + a]), 0, 1, "tmpe"),
+        # only the right-hand side of the block system is non-finite
+        lambda: extrapolate(TensorSequence([Tensor3(rand(4, 4, n3)) for _ in range(2)] + [a]),
+                            0, 1, "tmpe"),
+    ]
+    with np.errstate(invalid="ignore"):
+        for call in calls:
+            with pytest.raises(FaceSvdError) as info:
+                call()
+            assert isinstance(info.value, TextrapError)
+            assert info.value.face_index == 0

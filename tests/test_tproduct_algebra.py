@@ -6,7 +6,6 @@ from textrap import (
     DimensionMismatchError,
     SingularFaceError,
     Tensor3,
-    TProductContext,
     check_moore_penrose,
     frobenius_norm,
     identity_tensor,
@@ -20,6 +19,7 @@ from textrap import (
     tsvd,
     ttranspose,
 )
+from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
 
 RNG = np.random.default_rng(20240802)
 
@@ -134,20 +134,9 @@ def test_is_invertible_report():
         is_invertible(rand(2, 3, 2))
 
 
-def test_context_dft_matrix_memoized():
-    ctx = TProductContext()
-    m1 = ctx.dft_matrix(5)
-    m2 = ctx.dft_matrix(5)
-    assert m1 is m2
-    w = np.exp(-2j * np.pi / 5)
-    assert m1[2, 3] == pytest.approx(w ** 6)
-    assert not m1.flags.writeable
-
-
 def test_invertibility_threshold_override():
     a = well_conditioned(3, 4)
-    strict = TProductContext(invertibility_threshold=0.999999)
-    assert not is_invertible(a, context=strict)
+    assert is_invertible(a).threshold == INVERTIBILITY_THRESHOLD == 1e-12
     assert not is_invertible(a, threshold=0.999999)
     with pytest.raises(SingularFaceError):
         tinverse(a, threshold=0.999999)

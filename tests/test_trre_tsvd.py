@@ -8,6 +8,7 @@ from oracles import (
     eta_ratio,
     matrix_rre_on_tsvd,
     residual_norm,
+    sequence_thetas,
     trre_tsvd_path,
     trre_tsvd_step,
 )
@@ -118,7 +119,7 @@ def test_increment_identity():
 def test_shapes_and_theta_psd():
     a, b = rand(6, 4, 3), rand(6, 2, 3)
     state = build_sequence(a, b)
-    for delta, theta, sdelta in zip(state.deltas, state.thetas, state.sdeltas):
+    for delta, theta, sdelta in zip(state.deltas, sequence_thetas(state), state.sdeltas):
         assert delta.dims == (1, 2, 3)
         assert theta.dims == (2, 2, 3)
         assert sdelta.dims == (4, 2, 3)
@@ -299,7 +300,7 @@ def test_residual_norm_equal_theta_analytic():
     for k, res in zip(report.ks[1:], report.residual_norms[1:]):
         assert res == pytest.approx(np.linalg.norm(t) / np.sqrt(k + 1), rel=1e-10)
     # the tensor-level reference agrees at k = 1
-    theta = build_sequence(Tensor3(adata), b).thetas[0]
+    theta = sequence_thetas(build_sequence(Tensor3(adata), b))[0]
     beta = closed_form_beta([theta, theta], 1, shift=None)
     eye = identity_tensor(1, n3)
     inv = tinverse(eye + beta[0])
