@@ -26,24 +26,20 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .tensor_core import (
-    FaceDomainTensor,
     Stack4,
     Stack5,
     Tensor3,
     TubalScalar,
     bcirc,
-    dft_faces,
     fold,
     frobenius_norm,
     identity_tensor,
     identity_tube,
-    idft_faces,
     matvec_unfold,
     read_tns3,
     read_tns4,
     write_tns3,
     write_tns4,
-    zeros,
 )
 from .tproduct_algebra import (
     InvertibilityReport,
@@ -87,7 +83,6 @@ from .extrapolation import (
     extrapolate,
     gamma_to_alpha,
     solve_beta_system,
-    ttea_extrapolate,
     ttea_solve,
 )
 from .trre_tsvd_solver import (
@@ -112,24 +107,20 @@ __all__ = [
     "TextrapError",
     "TruncatedPayloadError",
     "UnsupportedVersionError",
-    "FaceDomainTensor",
     "Stack4",
     "Stack5",
     "Tensor3",
     "TubalScalar",
     "bcirc",
-    "dft_faces",
     "fold",
     "frobenius_norm",
     "identity_tensor",
     "identity_tube",
-    "idft_faces",
     "matvec_unfold",
     "read_tns3",
     "read_tns4",
     "write_tns3",
     "write_tns4",
-    "zeros",
     "InvertibilityReport",
     "PenroseReport",
     "check_moore_penrose",
@@ -165,7 +156,6 @@ __all__ = [
     "extrapolate",
     "gamma_to_alpha",
     "solve_beta_system",
-    "ttea_extrapolate",
     "ttea_solve",
     "SolverReport",
     "TtsvdSequenceState",

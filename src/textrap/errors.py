@@ -27,7 +27,7 @@ class DimensionMismatchError(TextrapError, ValueError):
 
 
 class OracleCapError(TextrapError, ValueError):
-    """An oracle-only operation was invoked beyond its configured size cap."""
+    """An oracle-only operation was invoked beyond its fixed size cap."""
 
 
 class TensorFileError(TextrapError):

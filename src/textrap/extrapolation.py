@@ -57,7 +57,6 @@ __all__ = [
     "gamma_to_alpha",
     "extrapolate",
     "ttea_solve",
-    "ttea_extrapolate",
 ]
 
 METHODS = ("tmpe", "trre", "tmmpe")
@@ -244,14 +243,12 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
     return Stack4(_solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3))
 
 
-def beta_to_gamma(beta: Stack4, regularize: bool = False) -> Stack4:
+def beta_to_gamma(beta: Stack4) -> Stack4:
     """Normalize beta to gamma: ``gamma_i = beta_i * inv(sum beta + I)``.
 
     The identity is appended as ``beta_k`` before summing, so the result
-    has k+1 slices and sums to the identity.  A singular sum raises; with
-    ``regularize=True`` the sum is first shifted by ``1e-10`` times its
-    largest face magnitude (opt-in, mirroring the usual epsilon-shift
-    trick).
+    has k+1 slices and sums to the identity.  A singular sum raises
+    ``SingularFaceError``.
     """
     k = beta.count
     if k == 0:
@@ -259,13 +256,9 @@ def beta_to_gamma(beta: Stack4, regularize: bool = False) -> Stack4:
     q1, q2, n3 = beta.dims
     if q1 != q2:
         raise DimensionMismatchError(f"beta slices must be square, got {beta.dims}")
-    eye = identity_tensor(q1, n3)
-    total = eye
+    total = identity_tensor(q1, n3)
     for b in beta:
         total = total + b
-    if regularize:
-        magnitude = float(np.max(np.linalg.norm(_faces(total.data), axis=(1, 2))))
-        total = total + (1e-10 * magnitude) * eye
     inv = tinverse(total)
     out = [tprod(b, inv) for b in beta]
     out.append(inv)
@@ -388,8 +381,3 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     for i in range(1, k + 1):
         e_k = e_k + tprod(delta[i - 1], betas[i - 1])
     return e_k, Stack4(betas)
-
-
-def ttea_extrapolate(seq: TensorSequence, n: int, k: int, y: Tensor3) -> Tensor3:
-    """The TTEA extrapolant ``E_k`` (see :func:`ttea_solve`)."""
-    return ttea_solve(seq, n, k, y)[0]

@@ -23,7 +23,6 @@ from .tensor_core import (
     _unfaces,
     frobenius_norm,
     identity_tensor,
-    zeros,
 )
 from .tproduct_algebra import tprod, ttranspose
 
@@ -139,7 +138,7 @@ def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
             f"left-inverse product blocks must be square, got {prod.block_dims}"
         )
     eye = identity_tensor(n, n3)
-    zero = zeros(n, n, n3)
+    zero = Tensor3.zeros(n, n, n3)
     for tau in range(k):
         for eta in range(k):
             target = eye if tau == eta else zero

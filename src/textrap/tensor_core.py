@@ -1,4 +1,4 @@
-"""Dense tensor storage, unfoldings, DFT faces, and binary I/O.
+"""Dense tensor storage, unfoldings, the face-domain kernel, and binary I/O.
 
 Conventions
 -----------
@@ -10,22 +10,22 @@ fastest, then ``i2``, then ``i3``.  That is exactly the Fortran-order
 ravel of ``data``, so unfoldings are reshapes rather than gathers.
 
 The DFT along mode 3 uses the unnormalized forward / normalized inverse
-convention: ``faces[:, :, f] = sum_j data[:, :, j] * w**(f*j)`` with
+convention: face ``f`` is ``sum_j data[:, :, j] * w**(f*j)`` with
 ``w = exp(-2*pi*1j/n3)``.  ``n3`` may be any positive integer.
 
-Inside the package, face-domain work uses one format: the real-FFT half
-spectrum as an ``(F, m, n)`` stack with ``F = n3 // 2 + 1``, face first, so
-that per-face linear algebra is a single batched ``np.linalg`` call.  Face
-``n3 - f`` of a real tensor is the conjugate of face ``f``, so the half
-spectrum determines the tensor, and the inverse transform is real by
-construction.
+Face-domain work uses one format, private to the package: the real-FFT
+half spectrum as an ``(F, m, n)`` stack with ``F = n3 // 2 + 1``, face
+first, so that per-face linear algebra is a single batched ``np.linalg``
+call.  Face ``n3 - f`` of a real tensor is the conjugate of face ``f``, so
+the half spectrum determines the tensor, and the inverse transform is real
+by construction.  No face format is exported; the full spectrum of a
+tensor ``t`` is ``np.fft.fft(t.data, axis=2)``.
 
 All slice and face indices in this package are 0-based.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Iterable, Sequence
 
@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionOverflowError,
     FaceSvdError,
-    NumericalConsistencyError,
     OracleCapError,
     TensorFileError,
     TruncatedPayloadError,
@@ -48,30 +47,21 @@ __all__ = [
     "TubalScalar",
     "Stack4",
     "Stack5",
-    "FaceDomainTensor",
     "identity_tensor",
     "identity_tube",
-    "zeros",
     "frobenius_norm",
     "bcirc",
     "matvec_unfold",
     "fold",
-    "dft_faces",
-    "idft_faces",
     "read_tns3",
     "write_tns3",
     "read_tns4",
     "write_tns4",
-    "DEFAULT_ORACLE_CAP",
-    "ORACLE_CAP_ENV",
+    "ORACLE_CAP",
 ]
 
-DEFAULT_ORACLE_CAP = 4096
-ORACLE_CAP_ENV = "TEXTRAP_ORACLE_CAP"
-
-#: imaginary residue (relative to the largest magnitude) tolerated when a
-#: face-domain result is mapped back to a real tensor
-REAL_RESIDUE_TOL = 1e-10
+#: largest block-circulant dimension :func:`bcirc` will materialize
+ORACLE_CAP = 4096
 
 
 class Tensor3:
@@ -318,45 +308,6 @@ class Stack5:
         return f"Stack5(grid={k}x{ell}, block_dims={self.block_dims})"
 
 
-class FaceDomainTensor:
-    """DFT faces of a tensor: ``n3`` complex ``n1 x n2`` matrices.
-
-    For a real source tensor the faces satisfy conjugate symmetry:
-    face ``f`` and face ``(n3 - f) % n3`` are elementwise conjugates.
-    """
-
-    __slots__ = ("_faces",)
-
-    def __init__(self, faces):
-        arr = np.array(faces, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise DimensionMismatchError(
-                f"FaceDomainTensor requires a 3-mode array, got ndim={arr.ndim}"
-            )
-        arr.setflags(write=False)
-        self._faces = arr
-
-    @property
-    def faces(self) -> np.ndarray:
-        """Read-only complex array of shape ``(n1, n2, n3)``; ``faces[:, :, f]`` is face ``f``."""
-        return self._faces
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self._faces.shape
-
-    def face(self, f: int) -> np.ndarray:
-        return self._faces[:, :, f]
-
-    def __repr__(self):
-        return f"FaceDomainTensor(dims={self.dims})"
-
-
-def zeros(n1: int, n2: int, n3: int) -> Tensor3:
-    """Zero tensor of the given dims."""
-    return Tensor3.zeros(n1, n2, n3)
-
-
 def identity_tensor(n: int, n3: int) -> Tensor3:
     """The n x n x n3 identity: first frontal slice I_n, all others zero."""
     data = np.zeros((n, n, n3))
@@ -376,25 +327,12 @@ def frobenius_norm(t: Tensor3) -> float:
     return float(np.linalg.norm(t.data))
 
 
-def _resolve_oracle_cap(cap: int | None) -> int:
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(ORACLE_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise OracleCapError(f"{ORACLE_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_ORACLE_CAP
-
-
-def bcirc(t: Tensor3, cap: int | None = None) -> np.ndarray:
+def bcirc(t: Tensor3) -> np.ndarray:
     """Block-circulant matrix of a tensor; test oracle only.
 
     Block row ``i``, block column ``j`` holds frontal slice ``(i - j) mod n3``.
     The output is ``(n1*n3) x (n2*n3)``, so the operation is capped: both
-    matrix dimensions must stay at or below ``cap`` (default 4096, overridable
-    via the ``TEXTRAP_ORACLE_CAP`` environment variable).
+    matrix dimensions must stay at or below ``ORACLE_CAP``.
 
     Raises
     ------
@@ -403,10 +341,9 @@ def bcirc(t: Tensor3, cap: int | None = None) -> np.ndarray:
         verification at small sizes, never for production computation.
     """
     n1, n2, n3 = t.dims
-    limit = _resolve_oracle_cap(cap)
-    if max(n1 * n3, n2 * n3) > limit:
+    if max(n1 * n3, n2 * n3) > ORACLE_CAP:
         raise OracleCapError(
-            f"bcirc output {n1 * n3} x {n2 * n3} exceeds oracle cap {limit}; "
+            f"bcirc output {n1 * n3} x {n2 * n3} exceeds oracle cap {ORACLE_CAP}; "
             "this operation is for small-instance verification only"
         )
     out = np.zeros((n1 * n3, n2 * n3))
@@ -431,30 +368,6 @@ def fold(m, dims: tuple[int, int, int]) -> Tensor3:
             f"fold expects shape ({n1 * n3}, {n2}) for dims {dims}, got {arr.shape}"
         )
     return Tensor3(arr.reshape(n3, n1, n2).transpose(1, 2, 0))
-
-
-def dft_faces(t: Tensor3) -> FaceDomainTensor:
-    """Unnormalized DFT along mode 3, one complex face per frequency."""
-    return FaceDomainTensor(np.fft.fft(t.data, axis=2))
-
-
-def idft_faces(f: FaceDomainTensor, tol: float = REAL_RESIDUE_TOL) -> Tensor3:
-    """Normalized inverse DFT along mode 3, mapped back to a real tensor.
-
-    The imaginary residue left by the inverse transform must be at most
-    ``tol`` relative to the largest entry magnitude; anything larger means
-    the faces were not conjugate-symmetric and is reported as an error
-    rather than silently discarded.
-    """
-    arr = np.fft.ifft(f.faces, axis=2)
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-    residue = float(np.max(np.abs(arr.imag)))
-    if residue > tol * scale:
-        raise NumericalConsistencyError(
-            f"inverse DFT left imaginary residue {residue:.3e} "
-            f"(relative {residue / scale:.3e}, tolerance {tol:.1e})"
-        )
-    return Tensor3(arr.real)
 
 
 def _faces(data: np.ndarray) -> np.ndarray:

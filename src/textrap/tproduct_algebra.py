@@ -193,61 +193,27 @@ def is_orthogonal(q: Tensor3, tol: float = 1e-8) -> bool:
     )
 
 
-def is_positive_definite(
-    a: Tensor3,
-    mode: str = "face",
-    *,
-    semi: bool = False,
-    tol: float = 1e-12,
-    samples: int = 64,
-    rng=None,
-) -> bool:
+def is_positive_definite(a: Tensor3, *, semi: bool = False, tol: float = 1e-12) -> bool:
     """Positive (semi-)definiteness of the quadratic form ``(x^T * a * x)`` first entry.
 
-    Parameters
-    ----------
-    a : Tensor3
-        Square-sliced tensor, not assumed symmetric.
-    mode : {"face", "sample"}
-        "face" is the decision procedure: the Hermitian part of every DFT
-        face must be positive definite (the form equals a nonnegative mix
-        ``(1/n3) * sum_f conj(xhat_f)^H H_f xhat_f`` over conjugate-symmetric
-        face vectors, so the face Hermitian parts govern its sign exactly).
-        "sample" is the falsifier: evaluates the form on ``samples`` random
-        nonzero unit-norm tensors and reports a violation by returning False.
-    semi : bool
-        Test positive semi-definiteness instead of strict definiteness.
-        The boundary is resolved at relative tolerance ``tol``: strict
-        requires eigenvalues (or sampled form values) above ``+tol * scale``,
-        semi requires them above ``-tol * scale``.
+    The test is decided on the DFT faces: the form equals a nonnegative mix
+    ``(1/n3) * sum_f conj(xhat_f)^H H_f xhat_f`` over conjugate-symmetric
+    face vectors, so the Hermitian parts ``H_f`` of the faces govern its sign
+    exactly.  ``a`` is square-sliced and not assumed symmetric.  With
+    ``semi`` the test is for semi-definiteness.  The boundary is resolved at
+    relative tolerance ``tol``: strict requires every face eigenvalue above
+    ``+tol * scale``, semi above ``-tol * scale``, where ``scale`` is the
+    largest eigenvalue magnitude.  A non-finite entry raises ``FaceSvdError``.
     """
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"definiteness needs square slices, got {a.dims}")
-    if mode == "face":
-        faces = _faces(a.data)
-        w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + faces.conj().swapaxes(1, 2)))
-        eig_min = float(np.min(w[:, 0]))
-        scale = float(np.max(np.abs(w)))
-        if semi:
-            return eig_min >= -tol * scale
-        return eig_min > tol * scale
-    if mode == "sample":
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        scale = frobenius_norm(a)
-        for _ in range(samples):
-            vec = gen.standard_normal((a.n1, 1, a.n3))
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                continue
-            x = Tensor3(vec / norm)
-            form = float(tprod(tprod(ttranspose(x), a), x).data[0, 0, 0])
-            if semi:
-                if form < -tol * scale:
-                    return False
-            elif form <= tol * scale:
-                return False
-        return True
-    raise ValueError(f"mode must be 'face' or 'sample', got {mode!r}")
+    faces = _faces(a.data)
+    w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + faces.conj().swapaxes(1, 2)))
+    eig_min = float(np.min(w[:, 0]))
+    scale = float(np.max(np.abs(w)))
+    if semi:
+        return eig_min >= -tol * scale
+    return eig_min > tol * scale
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ For an ill-posed ``a * x = b`` the truncated pseudoinverse solutions
 
     S_k = sum_{j<=k} v_j * delta_j,    delta_j = d_j^+ * u_j^T * b,
 
-form a sequence whose early terms are regularized and whose late terms are
+form a sequence whose early terms damp the noise and whose late terms are
 noise-dominated.  Applying the reduced-rank transform to that sequence has
 closed-form coefficients: with Theta_j = delta_j^T * delta_j,
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FaceSvdError,
     InsufficientSequenceError,
     NumericalConsistencyError,
     SingularFaceError,
@@ -82,6 +83,13 @@ class TtsvdSequenceState:
         return len(self.deltas)
 
 
+def _require_finite(t: Tensor3, name: str) -> None:
+    """Refuse a tensor with a NaN or infinite entry: such an entry reaches
+    every DFT face, so the error names face 0."""
+    if not np.isfinite(t.data).all():
+        raise FaceSvdError(f"{name} has non-finite entries", face_index=0)
+
+
 def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSequenceState:
     """Build the TTSVD sequence state for ``a * x = b``.
 
@@ -89,11 +97,13 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     term; the partial sums telescope over a single factor set, so this is
     equivalent to truncating at every k separately.  Terms with an exactly
     zero delta (for example beyond the tubal rank, where the pseudo-inverted
-    singular tube vanishes) are dropped and the sequence reindexed.
+    singular tube vanishes) are dropped and the sequence reindexed.  A
+    non-finite entry in ``a`` or ``b`` raises ``FaceSvdError``.
     """
     n1, n2, n3 = a.dims
     if b.n1 != n1 or b.n3 != n3:
         raise DimensionMismatchError(f"right-hand side dims {b.dims} do not match {a.dims}")
+    _require_finite(b, "right-hand side")
     r = min(n1, n2)
     limit = r if k_max is None else min(int(k_max), r)
     if limit < 1:
@@ -222,7 +232,8 @@ def solve(
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
     every face (``shift=None`` adds nothing) and raises
     ``SingularFaceError`` when one of them is singular by the ``tinverse``
-    rule.
+    rule.  A non-finite entry in ``a``, ``b`` or ``x_true`` raises
+    ``FaceSvdError``; one in ``b`` or ``x_true`` before any work.
     """
     if b.n2 != 1:
         raise DimensionMismatchError(
@@ -230,10 +241,12 @@ def solve(
             "solve each column separately"
         )
     n2, n3 = a.n2, a.n3
-    if x_true is not None and x_true.dims != (n2, 1, n3):
-        raise DimensionMismatchError(
-            f"x_true dims {x_true.dims} do not match the solution dims {(n2, 1, n3)}"
-        )
+    if x_true is not None:
+        if x_true.dims != (n2, 1, n3):
+            raise DimensionMismatchError(
+                f"x_true dims {x_true.dims} do not match the solution dims {(n2, 1, n3)}"
+            )
+        _require_finite(x_true, "x_true")
     started = time.perf_counter()
     state = build_sequence(a, b, k_max)
     if state.count == 0:

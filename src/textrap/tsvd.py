@@ -208,7 +208,7 @@ def tubal_rank(a: Tensor3, tol: float = 1e-10) -> int:
     return int(np.sum(np.max(sv, axis=0) > tol * top))
 
 
-def save_factors(factors: TsvdFactors, prefix, tol: float | None = None) -> dict:
+def save_factors(factors: TsvdFactors, prefix) -> dict:
     """Write factors as three TNS3 files plus a JSON sidecar.
 
     Files are ``{prefix}_u.tns3``, ``{prefix}_s.tns3``, ``{prefix}_v.tns3``
@@ -227,7 +227,6 @@ def save_factors(factors: TsvdFactors, prefix, tol: float | None = None) -> dict
     write_tns3(factors.v, paths["v"])
     sidecar = {
         "r": factors.r,
-        "tol": tol,
         "face_singular_values": factors.face_singular_values.tolist(),
     }
     paths["sidecar"].write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
@@ -235,7 +234,8 @@ def save_factors(factors: TsvdFactors, prefix, tol: float | None = None) -> dict
 
 
 def load_factors(prefix) -> TsvdFactors:
-    """Read factors written by :func:`save_factors`."""
+    """Read factors written by :func:`save_factors`; other sidecar keys,
+    such as the ``tol`` that earlier versions wrote, are ignored."""
     prefix = Path(prefix)
     sidecar = json.loads(
         prefix.with_name(prefix.name + "_tsvd.json").read_text(encoding="utf-8")

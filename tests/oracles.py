@@ -79,6 +79,24 @@ def brute_ttranspose(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def sampled_positive_definite(data: np.ndarray, semi: bool = False, tol: float = 1e-12,
+                              samples: int = 64, rng=None) -> bool:
+    """Falsifier for definiteness: evaluates the first entry of the form
+    ``x^T * a * x`` on ``samples`` random unit-norm lateral slices and
+    returns False at the first value at or below ``tol * |a|`` (strict) or
+    below ``-tol * |a|`` (semi).  True only means no sample broke it."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    n, _, n3 = data.shape
+    scale = np.linalg.norm(data)
+    for _ in range(samples):
+        x = gen.standard_normal((n, 1, n3))
+        x /= np.linalg.norm(x)
+        form = brute_tprod(brute_tprod(brute_ttranspose(x), data), x)[0, 0, 0]
+        if (form < -tol * scale) if semi else (form <= tol * scale):
+            return False
+    return True
+
+
 def direct_dft_faces(data: np.ndarray) -> np.ndarray:
     """Mode-3 DFT by quadratic summation against explicit roots of unity."""
     n3 = data.shape[2]

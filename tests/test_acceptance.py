@@ -40,7 +40,7 @@ from textrap import (
     tls_solve,
     tprod,
     tsvd,
-    ttea_extrapolate,
+    ttea_solve,
     ttranspose,
     ttsvd,
 )
@@ -210,7 +210,7 @@ def test_criterion_06_classical_vector_reduction():
             (extrapolate(seq, start, k, "trre").t_k, classical_rre(vecs, start, k)),
             (extrapolate(seq, start, k, "tmmpe", custom_y=y_stack).t_k,
              classical_mmpe(vecs, start, k, qs)),
-            (ttea_extrapolate(seq, start, k, Tensor3(yv.reshape(n, 1, 1))),
+            (ttea_solve(seq, start, k, Tensor3(yv.reshape(n, 1, 1)))[0],
              classical_tea(vecs, start, k, yv)),
         )
         for got, want in pairs:
@@ -247,7 +247,7 @@ def test_criterion_07_finite_termination_on_linear_sequences():
             extrapolate(seq, 0, width, "tmpe").t_k,
             extrapolate(seq, 0, width, "trre").t_k,
             extrapolate(seq, 0, width, "tmmpe", custom_y=y_stack).t_k,
-            ttea_extrapolate(seq, 0, width, Tensor3(rng.standard_normal((n, 1, n3)))),
+            ttea_solve(seq, 0, width, Tensor3(rng.standard_normal((n, 1, n3))))[0],
         )
         for t in outs:
             worst = max(worst, _rel(t, fixed))

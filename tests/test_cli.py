@@ -392,6 +392,20 @@ def test_extrapolate_non_finite_sequence_is_runtime_error(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def test_solve_non_finite_rhs_is_runtime_error(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="4,4,3")
+    data = read_tns3(gen["paths"]["b"]).data.copy()
+    data[1, 0, 1] = np.nan
+    write_tns3(Tensor3(data), gen["paths"]["b"])
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"],
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error:") and "non-finite" in err
+    assert not (tmp_path / "tk.tns3").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

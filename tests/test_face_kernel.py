@@ -4,7 +4,8 @@ Every routine that solves one matrix problem per DFT face is checked
 against its loop reference in ``oracles`` (full complex ``fft``, one face
 at a time, conjugate faces mirrored by hand) or against the dense
 block-circulant oracles, over n3 values that cover n3 = 1, odd n3 and an
-even n3 with its real Nyquist face.
+even n3 with its real Nyquist face.  The kernel's transform pair itself is
+checked against the DFT by quadratic summation.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from oracles import (
     bcirc_pinv_apply,
     bcirc_pinv_tensor,
+    direct_dft_faces,
     face_singular_values,
     loop_beta_system,
     loop_left_inverse,
@@ -47,6 +49,8 @@ from textrap import (
     ttsvd,
     tubal_rank,
 )
+from textrap.tensor_core import _faces, _unfaces
+from textrap.trre_tsvd_solver import _parseval_weights
 
 N3S = (1, 2, 3, 4, 7, 8)
 RNG = np.random.default_rng(20261018)
@@ -184,6 +188,9 @@ def test_non_finite_input_raises_typed_error(value):
     data = rand(4, 4, n3)
     data[1, 2, 3] = value
     a = Tensor3(data)
+    ok = Tensor3(rand(4, 4, n3))
+    b, x_true = rand(4, 1, n3), rand(4, 1, n3)
+    b[1, 0, 1] = x_true[2, 0, 0] = value
     calls = [
         lambda: tinverse(a),
         lambda: is_invertible(a),
@@ -194,6 +201,10 @@ def test_non_finite_input_raises_typed_error(value):
         lambda: tubal_rank(a),
         lambda: build_sequence(a, Tensor3(rand(4, 1, n3))),
         lambda: solve(a, Tensor3(rand(4, 1, n3))),
+        # a finite operator with a non-finite right-hand side or reference
+        lambda: build_sequence(ok, Tensor3(b)),
+        lambda: solve(ok, Tensor3(b)),
+        lambda: solve(ok, Tensor3(rand(4, 1, n3)), x_true=Tensor3(x_true)),
         lambda: solve_beta_system(Stack4([a]), Stack4([a]), Tensor3(rand(4, 4, n3))),
         lambda: left_inverse(Stack5([[a]])),
         lambda: extrapolate(TensorSequence([Tensor3(rand(4, 4, n3)), a, a + a]), 0, 1, "tmpe"),
@@ -207,3 +218,15 @@ def test_non_finite_input_raises_typed_error(value):
                 call()
             assert isinstance(info.value, TextrapError)
             assert info.value.face_index == 0
+
+
+@pytest.mark.parametrize("n3", N3S)
+def test_faces_follow_the_dft_convention(n3):
+    x = rand(3, 4, n3)
+    faces = _faces(x)
+    want = np.moveaxis(direct_dft_faces(x), 2, 0)[: n3 // 2 + 1]
+    assert faces.shape == want.shape
+    np.testing.assert_allclose(faces, want, atol=1e-12)
+    np.testing.assert_allclose(_unfaces(faces, n3).data, x, atol=1e-12)
+    energy = np.sum(_parseval_weights(n3)[:, None, None] * np.abs(faces) ** 2)
+    assert energy == pytest.approx(np.sum(x**2), rel=1e-12)

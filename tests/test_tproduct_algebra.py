@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_tprod, brute_ttranspose, bcirc_pinv_tensor
+from oracles import bcirc_pinv_tensor, brute_tprod, brute_ttranspose, sampled_positive_definite
 from textrap import (
     DimensionMismatchError,
     SingularFaceError,
@@ -173,29 +173,24 @@ def test_is_orthogonal():
 
 
 def test_positive_definite_modes_agree():
+    # the face decision against the sampled falsifier in the oracles
     n, n3 = 4, 3
     g = rand(n, n, n3)
     gram = tprod(ttranspose(g), g)  # PSD, almost surely PD
     shifted = gram + identity_tensor(n, n3)
-    assert is_positive_definite(shifted, mode="face")
-    assert is_positive_definite(shifted, mode="sample", rng=np.random.default_rng(0))
+    assert is_positive_definite(shifted)
+    assert sampled_positive_definite(shifted.data, rng=np.random.default_rng(0))
     neg = -1.0 * shifted
-    assert not is_positive_definite(neg, mode="face")
-    assert not is_positive_definite(neg, mode="sample", rng=np.random.default_rng(0))
+    assert not is_positive_definite(neg)
+    assert not sampled_positive_definite(neg.data, rng=np.random.default_rng(0))
 
 
 def test_positive_semidefinite_boundary():
     # rank-deficient gram tensor: semidefinite yes, definite no
     g = rand(2, 4, 3)
     gram = tprod(ttranspose(g), g)
-    assert is_positive_definite(gram, mode="face", semi=True)
-    assert not is_positive_definite(gram, mode="face")
-
-
-def test_positive_definite_rejects_bad_mode():
-    a = identity_tensor(2, 2)
-    with pytest.raises(ValueError):
-        is_positive_definite(a, mode="bogus")
+    assert is_positive_definite(gram, semi=True)
+    assert not is_positive_definite(gram)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_shapes_and_theta_psd():
         assert delta.dims == (1, 2, 3)
         assert theta.dims == (2, 2, 3)
         assert sdelta.dims == (4, 2, 3)
-        assert is_positive_definite(theta, mode="face", semi=True)
+        assert is_positive_definite(theta, semi=True)
 
 
 def test_zero_singular_tube_dropped():

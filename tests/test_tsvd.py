@@ -179,11 +179,11 @@ def test_save_load_round_trip(tmp_path):
     a = rand(5, 4, 3)
     factors, _ = ttsvd(a, 2)
     prefix = tmp_path / "fac"
-    paths = save_factors(factors, prefix, tol=1e-10)
+    paths = save_factors(factors, prefix)
     assert set(paths) == {"u", "s", "v", "sidecar"}
-    sidecar = json.loads((tmp_path / "fac_tsvd.json").read_text())
+    sidecar_path = tmp_path / "fac_tsvd.json"
+    sidecar = json.loads(sidecar_path.read_text())
     assert sidecar["r"] == 2
-    assert sidecar["tol"] == 1e-10
     back = load_factors(prefix)
     assert back.r == 2
     for name in ("u", "s", "v"):
@@ -191,3 +191,6 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_allclose(
         back.face_singular_values, factors.face_singular_values, atol=1e-12
     )
+    # sidecars written with the former tol key still load
+    sidecar_path.write_text(json.dumps(dict(sidecar, tol=1e-10)))
+    assert load_factors(prefix).r == 2
