@@ -32,9 +32,10 @@ from .extrapolation import (
     extrapolate,
     ttea_solve,
 )
-from .stack_products import diamond, star
+from .stack_products import bar_star, diamond, star
 from .tensor_core import (
     Stack4,
+    Stack5,
     Tensor3,
     bcirc,
     fold,
@@ -150,8 +151,6 @@ def cmd_gen(cfg: dict, rng) -> tuple[dict, int]:
     noise = float(cfg["noise"])
     if noise < 0.0:
         raise UsageError(f"noise must be >= 0 (got {noise})")
-    if cfg["profile"] not in PROFILES:
-        raise UsageError(f"unknown profile {cfg['profile']!r} (choose from {', '.join(PROFILES)})")
     width = int(cfg["width"]) if cfg["width"] is not None else None
     a, b, x_true = make_problem(dims, cfg["profile"], float(cfg["rate"]), noise, rng, width)
     outdir = Path(cfg["output"])
@@ -292,6 +291,13 @@ def _mutated_bcirc(t: Tensor3):
     return m
 
 
+def _oracle_sum(oracle, pairs) -> Tensor3:
+    """``sum x * y`` over the ``(x, y)`` pairs, each T-product by the
+    block-circulant definition with ``oracle`` as bcirc."""
+    return Tensor3(sum(fold(oracle(x) @ matvec_unfold(y), (x.n1, y.n2, x.n3)).data
+                       for x, y in pairs))
+
+
 def _suite_tprod(rng, oracle) -> dict:
     worst = 0.0
     for _ in range(25):
@@ -299,7 +305,7 @@ def _suite_tprod(rng, oracle) -> dict:
         m = rng.integers(1, 7)
         x = Tensor3(rng.standard_normal((n1, m, n3)))
         y = Tensor3(rng.standard_normal((m, n2, n3)))
-        direct = fold(oracle(x) @ matvec_unfold(y), (n1, n2, n3))
+        direct = _oracle_sum(oracle, [(x, y)])
         err = frobenius_norm(tprod(x, y) - direct) / max(frobenius_norm(direct), 1.0)
         worst = max(worst, err)
     return {"cases": 25, "max_error": worst, "passed": worst <= 1e-10}
@@ -340,26 +346,36 @@ def _suite_leastsq(rng, oracle) -> dict:
         a = Tensor3(rng.standard_normal((int(n1), int(n2), int(n3))))
         b = Tensor3(rng.standard_normal((int(n1), 1, int(n3))))
         x = tls_solve(a, b)
-        ref = fold(np.linalg.pinv(bcirc(a)) @ matvec_unfold(b), (a.n2, 1, a.n3))
+        ref = fold(np.linalg.pinv(oracle(a)) @ matvec_unfold(b), (a.n2, 1, a.n3))
         worst = max(worst, frobenius_norm(x - ref) / max(frobenius_norm(ref), 1.0))
     return {"cases": 10, "max_error": worst, "passed": worst <= 1e-8}
 
 
 def _suite_products(rng, oracle) -> dict:
+    # Stack5-star-Stack4, Stack4-star-Stack4 and bar-star, each block
+    # against its sum of block-circulant products
     worst = 0.0
+
+    def rand(*dims):
+        return Tensor3(rng.standard_normal(dims))
+
     for _ in range(15):
         n1, n3 = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         k, ell = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        us = Stack4(Tensor3(rng.standard_normal((n1, 1, n3))) for _ in range(k))
-        ys = Stack4(Tensor3(rng.standard_normal((n1, 1, n3))) for _ in range(ell))
-        gs = Stack4(Tensor3(rng.standard_normal((1, 1, n3))) for _ in range(k))
-        out = star(diamond(ys, us), gs)
-        for i in range(ell):
-            direct = Tensor3.zeros(1, 1, n3)
-            for j in range(k):
-                direct = direct + tprod(tprod(ttranspose(ys[i]), us[j]), gs[j])
-            scale = max(frobenius_norm(direct), 1.0)
-            worst = max(worst, frobenius_norm(out[i] - direct) / scale)
+        us = Stack4(rand(n1, 1, n3) for _ in range(k))
+        ys = Stack4(rand(n1, 1, n3) for _ in range(ell))
+        gs = Stack4(rand(1, 1, n3) for _ in range(k))
+        a = Stack5(tuple(rand(n1, 2, n3) for _ in range(ell)) for _ in range(k))
+        b = Stack5(tuple(rand(2, 3, n3) for _ in range(ell)) for _ in range(k))
+        out, grid = star(diamond(ys, us), gs), bar_star(a, b)
+        checks = [(star(us, gs), [(us[j], gs[j]) for j in range(k)])]
+        checks += [(out[i], [(_oracle_sum(oracle, [(ttranspose(ys[i]), us[j])]), gs[j])
+                             for j in range(k)]) for i in range(ell)]
+        checks += [(grid.block(tau, eta), [(a.block(eta, j), b.block(tau, j)) for j in range(ell)])
+                   for tau in range(k) for eta in range(k)]
+        for got, pairs in checks:
+            direct = _oracle_sum(oracle, pairs)
+            worst = max(worst, frobenius_norm(got - direct) / max(frobenius_norm(direct), 1.0))
     return {"cases": 15, "max_error": worst, "passed": worst <= 1e-10}
 
 

@@ -37,6 +37,7 @@ from .stack_products import star
 from .tensor_core import (
     Stack4,
     Tensor3,
+    _block_tensor,
     _face_linalg,
     _faces,
     _unfaces,
@@ -206,12 +207,6 @@ def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> l
     return [Tensor3(solution[j * q : (j + 1) * q]) for j in range(k)]
 
 
-def _lateral_faces(tensors) -> np.ndarray:
-    """Half-spectrum faces of the tensors placed side by side (lateral
-    concatenation): face f holds the faces of the members as column blocks."""
-    return _faces(np.concatenate([t.data for t in tensors], axis=1))
-
-
 def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
     """Solve ``(l diamond v) star beta = -(l diamond rhs)`` for beta.
 
@@ -238,8 +233,8 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
         raise DimensionMismatchError(
             f"beta system shapes disagree: l {l.dims}, v {v.dims}, rhs {rhs.dims}"
         )
-    lh = _lateral_faces(l).conj().swapaxes(1, 2)
-    big = lh @ _lateral_faces(v)
+    lh = _faces(_block_tensor([l])).conj().swapaxes(1, 2)
+    big = lh @ _faces(_block_tensor([v]))
     return Stack4(_solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3))
 
 
@@ -248,7 +243,8 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
 
     The identity is appended as ``beta_k`` before summing, so the result
     has k+1 slices and sums to the identity.  A singular sum raises
-    ``SingularFaceError``.
+    ``SingularFaceError``.  The k products share the inverse, so they are
+    one T-product of the betas stacked vertically.
     """
     k = beta.count
     if k == 0:
@@ -260,9 +256,8 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
     for b in beta:
         total = total + b
     inv = tinverse(total)
-    out = [tprod(b, inv) for b in beta]
-    out.append(inv)
-    return Stack4(out)
+    gammas = tprod(Tensor3(_block_tensor([[b] for b in beta])), inv)
+    return Stack4(np.split(gammas.data, k) + [inv])
 
 
 def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
@@ -361,9 +356,8 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
             f"TTEA test tensor dims {y.dims} do not match sequence dims {seq.dims}"
         )
     seq.require(n + 2 * k + 1, f"TTEA width {k} at n={n}")
-    n2 = seq.dims[1]
-    n3 = seq.dims[2]
-    delta = [seq[n + j + 1] - seq[n + j] for j in range(2 * k)]
+    _, n2, n3 = seq.dims
+    delta = Stack4(seq[n + j + 1] - seq[n + j] for j in range(2 * k))
     if all(frobenius_norm(d) == 0.0 for d in delta):
         # converged window: E_k = S_n with vanishing coefficients
         zero = Tensor3(np.zeros((n2, n2, n3)))
@@ -372,12 +366,9 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     yh = _faces(y.data).conj().swapaxes(1, 2)
     # face blocks y^H D2S_m for every m side by side; block row j is the
     # window m = j .. j+k-1, so the rows are Hankel
-    moments = yh @ _lateral_faces(delta2)
+    moments = yh @ _faces(_block_tensor([delta2]))
     big = np.concatenate([moments[:, :, j * n2 : (j + k) * n2] for j in range(k)], axis=1)
-    first = -(yh @ _lateral_faces(delta[:k]))
+    first = -(yh @ _faces(_block_tensor([delta[:k]])))
     rhs = np.concatenate([first[:, :, j * n2 : (j + 1) * n2] for j in range(k)], axis=1)
-    betas = _solve_stacked_faces(big, rhs, k, n3)
-    e_k = seq[n]
-    for i in range(1, k + 1):
-        e_k = e_k + tprod(delta[i - 1], betas[i - 1])
-    return e_k, Stack4(betas)
+    betas = Stack4(_solve_stacked_faces(big, rhs, k, n3))
+    return seq[n] + star(delta[:k], betas), betas

@@ -6,7 +6,10 @@ index j).  The diamond product of an l-stack with a k-stack is the k x l
 grid with ``block(j, i) = ttranspose(a[i]) * b[j]``; star contracts a grid
 against a stack along mode 4; bar-star contracts two equal grids along
 mode 5.  All three reduce to familiar matrix constructions when every
-block is 1 x 1 x 1.
+block is 1 x 1 x 1.  Each contraction (star, bar-star) is one T-product
+of concatenated operands: the blocks are laid out as one block tensor,
+whose faces the T-product multiplies in a single batched matmul, and the
+result is sliced back into blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
+    _block_tensor,
     _face_linalg,
     _faces,
     _unfaces,
@@ -74,24 +78,18 @@ def star(a, b: Stack4):
             raise DimensionMismatchError(
                 f"star stack counts disagree: {a.count} vs {b.count}"
             )
-        total = tprod(a[0], b[0])
-        for aj, bj in zip(a[1:], b[1:]):
-            total = total + tprod(aj, bj)
-        return total
-    if not isinstance(a, Stack5):
+        left = _block_tensor([a])
+    elif isinstance(a, Stack5):
+        k, ell = a.grid_shape
+        if k != b.count:
+            raise DimensionMismatchError(
+                f"star requires mode-4 extent {k} to match slice count {b.count}"
+            )
+        left = _block_tensor([[a.block(j, i) for j in range(k)] for i in range(ell)])
+    else:
         raise DimensionMismatchError("star left operand must be a Stack4 or Stack5")
-    k, ell = a.grid_shape
-    if k != b.count:
-        raise DimensionMismatchError(
-            f"star requires mode-4 extent {k} to match slice count {b.count}"
-        )
-    out = []
-    for i in range(ell):
-        total = tprod(a.block(0, i), b[0])
-        for j in range(1, k):
-            total = total + tprod(a.block(j, i), b[j])
-        out.append(total)
-    return Stack4(out)
+    out = tprod(Tensor3(left), Tensor3(_block_tensor([[t] for t in b])))
+    return out if isinstance(a, Stack4) else Stack4(np.split(out.data, ell))
 
 
 def bar_star(a: Stack5, b: Stack5) -> Stack5:
@@ -105,16 +103,11 @@ def bar_star(a: Stack5, b: Stack5) -> Stack5:
             f"bar-star grid shapes disagree: {a.grid_shape} vs {b.grid_shape}"
         )
     k, ell = a.grid_shape
-    rows = []
-    for tau in range(k):
-        row = []
-        for eta in range(k):
-            total = tprod(a.block(eta, 0), b.block(tau, 0))
-            for j in range(1, ell):
-                total = total + tprod(a.block(eta, j), b.block(tau, j))
-            row.append(total)
-        rows.append(tuple(row))
-    return Stack5(rows)
+    left = _block_tensor(a.blocks)
+    right = _block_tensor([[b.block(tau, j) for tau in range(k)] for j in range(ell)])
+    prod = tprod(Tensor3(left), Tensor3(right)).data
+    # block (eta, tau) of the product is block (tau, eta) of the result
+    return Stack5(zip(*(np.split(row, k, axis=1) for row in np.split(prod, k))))
 
 
 def adjoint_swap(a: Stack5) -> Stack5:
@@ -131,20 +124,17 @@ def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
     Frobenius norm."""
     prod = bar_star(binv, b)
     k, _ = prod.grid_shape
-    n = prod.block_dims[0]
-    n3 = prod.block_dims[2]
-    if prod.block_dims[0] != prod.block_dims[1]:
+    n, m, n3 = prod.block_dims
+    if n != m:
         raise DimensionMismatchError(
             f"left-inverse product blocks must be square, got {prod.block_dims}"
         )
-    eye = identity_tensor(n, n3)
-    zero = Tensor3.zeros(n, n, n3)
-    for tau in range(k):
-        for eta in range(k):
-            target = eye if tau == eta else zero
-            if frobenius_norm(prod.block(tau, eta) - target) > tol:
-                return False
-    return True
+    eye, zero = identity_tensor(n, n3), Tensor3.zeros(n, n, n3)
+    return all(
+        frobenius_norm(prod.block(tau, eta) - (eye if tau == eta else zero)) <= tol
+        for tau in range(k)
+        for eta in range(k)
+    )
 
 
 def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
@@ -166,8 +156,7 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
         raise DimensionMismatchError(
             f"no left inverse: stacked face system is {ell * n1} x {k * n2} (underdetermined)"
         )
-    grid = np.array([[b.block(tau, j).data for tau in range(k)] for j in range(ell)])
-    stacked = _faces(grid.transpose(0, 2, 1, 3, 4).reshape(ell * n1, k * n2, n3))
+    stacked = _faces(_block_tensor([[b.block(tau, j) for tau in range(k)] for j in range(ell)]))
     pinv = _face_linalg(np.linalg.pinv, stacked)
     residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
     bad = np.flatnonzero(residual > tol)
@@ -178,11 +167,4 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
             f"(left-identity residual {residual[f]:.3e})",
             face_index=f,
         )
-    out = _unfaces(pinv, n3).data
-    return Stack5(
-        tuple(
-            Tensor3(out[eta * n2 : (eta + 1) * n2, j * n1 : (j + 1) * n1])
-            for j in range(ell)
-        )
-        for eta in range(k)
-    )
+    return Stack5(np.split(row, ell, axis=1) for row in np.split(_unfaces(pinv, n3).data, k))

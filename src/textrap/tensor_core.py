@@ -380,6 +380,19 @@ def _unfaces(faces: np.ndarray, n3: int) -> Tensor3:
     return Tensor3(np.moveaxis(np.fft.irfft(faces, n=n3, axis=0), 0, 2))
 
 
+def _block_tensor(rows) -> np.ndarray:
+    """The array holding a grid of Tensor3 blocks, given as block rows of
+    block columns: rows are stacked along mode 1, columns along mode 2."""
+    return np.concatenate([np.concatenate([t.data for t in row], axis=1) for row in rows])
+
+
+def _require_finite(t: Tensor3, name: str) -> None:
+    """Refuse a tensor with a NaN or infinite entry: such an entry reaches
+    every DFT face, so the error names face 0."""
+    if not np.isfinite(t.data).all():
+        raise FaceSvdError(f"{name} has non-finite entries", face_index=0)
+
+
 def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
     """Per-face rows for all ``n3`` faces from the half-spectrum rows ``half``
     of a real tensor (face ``n3 - f`` shares the spectrum of face ``f``)."""

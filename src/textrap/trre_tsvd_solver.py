@@ -38,12 +38,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    FaceSvdError,
     InsufficientSequenceError,
     NumericalConsistencyError,
     SingularFaceError,
 )
-from .tensor_core import Tensor3, _unfaces, frobenius_norm
+from .tensor_core import Tensor3, _require_finite, _unfaces, frobenius_norm
 from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
 from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
 
@@ -81,13 +80,6 @@ class TtsvdSequenceState:
     def count(self) -> int:
         """Number of usable sequence terms (after the drop rule)."""
         return len(self.deltas)
-
-
-def _require_finite(t: Tensor3, name: str) -> None:
-    """Refuse a tensor with a NaN or infinite entry: such an entry reaches
-    every DFT face, so the error names face 0."""
-    if not np.isfinite(t.data).all():
-        raise FaceSvdError(f"{name} has non-finite entries", face_index=0)
 
 
 def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSequenceState:

@@ -28,6 +28,7 @@ from .tensor_core import (
     _face_linalg,
     _faces,
     _full_spectrum,
+    _require_finite,
     _unfaces,
     frobenius_norm,
     identity_tensor,
@@ -190,10 +191,12 @@ def tls_solve(a: Tensor3, b: Tensor3) -> Tensor3:
     the matrix pseudoinverse of the corresponding face of ``a`` (relative
     cutoff ``PINV_RCOND``) applied to the face of ``b``, all faces in one
     batched call.  Among all ``x`` minimizing ``frobenius_norm(a*x - b)``
-    this solution has the smallest Frobenius norm.
+    this solution has the smallest Frobenius norm.  A non-finite entry in
+    ``a`` or ``b`` raises ``FaceSvdError``.
     """
     if a.n1 != b.n1 or a.n3 != b.n3:
         raise DimensionMismatchError(f"tls_solve shapes disagree: {a.dims} vs {b.dims}")
+    _require_finite(b, "right-hand side")
     pinv = _face_linalg(np.linalg.pinv, _faces(a.data), rcond=PINV_RCOND)
     return _unfaces(pinv @ _faces(b.data), a.n3)
 

@@ -7,10 +7,13 @@ textbook vector-extrapolation formulas in their classical
 gamma-parameterized forms.  None of it shares code paths with the
 package implementations it is used to validate.
 
-Two sections are exceptions.  The per-face loop forms transform with the
+Three sections are exceptions.  The per-face loop forms transform with the
 full complex ``fft``, solve one face at a time in a Python loop and mirror
 the conjugate faces by hand; they are the references for the package's
-batched half-spectrum face kernel.  The tensor-level TRRE-TTSVD step
+batched half-spectrum face kernel.  The per-slice stack contractions sum
+one package T-product per block; they are the references for the package's
+contractions, each of which is one T-product of concatenated operands.  The
+tensor-level TRRE-TTSVD step
 (closed-form beta by T-product inverses, the trace-identity residual and
 eta) is built from the package's T-product primitives; it is the reference
 for the face-domain solver, which shares none of that arithmetic.
@@ -24,6 +27,7 @@ from textrap import (
     NumericalConsistencyError,
     SingularFaceError,
     Stack4,
+    Stack5,
     Tensor3,
     frobenius_norm,
     gamma_to_alpha,
@@ -266,6 +270,53 @@ def loop_left_inverse(grid, tol: float = 1e-8):
     sol = _inverse_dft(out)
     return [[sol[eta * n2 : (eta + 1) * n2, j * n1 : (j + 1) * n1] for j in range(ell)]
             for eta in range(k)]
+
+
+# ---------------------------------------------------------------------------
+# per-slice stack contractions (references for the one-product forms)
+
+
+def loop_star(a, b: Stack4):
+    """``sum_j a[j] * b[j]`` for a Stack4 ``a``; for a Stack5 ``a`` the
+    Stack4 whose slice i is ``sum_j a.block(j, i) * b[j]``."""
+    if isinstance(a, Stack4):
+        total = tprod(a[0], b[0])
+        for aj, bj in zip(a[1:], b[1:]):
+            total = total + tprod(aj, bj)
+        return total
+    k, ell = a.grid_shape
+    out = []
+    for i in range(ell):
+        total = tprod(a.block(0, i), b[0])
+        for j in range(1, k):
+            total = total + tprod(a.block(j, i), b[j])
+        out.append(total)
+    return Stack4(out)
+
+
+def loop_bar_star(a: Stack5, b: Stack5) -> Stack5:
+    """The k x k grid with ``block(tau, eta) = sum_j a.block(eta, j) * b.block(tau, j)``."""
+    k, ell = a.grid_shape
+    rows = []
+    for tau in range(k):
+        row = []
+        for eta in range(k):
+            total = tprod(a.block(eta, 0), b.block(tau, 0))
+            for j in range(1, ell):
+                total = total + tprod(a.block(eta, j), b.block(tau, j))
+            row.append(total)
+        rows.append(tuple(row))
+    return Stack5(rows)
+
+
+def loop_beta_to_gamma(beta: Stack4) -> Stack4:
+    """``gamma_i = beta_i * inv(I + sum beta)`` one slice at a time, then the inverse."""
+    q, _, n3 = beta.dims
+    total = identity_tensor(q, n3)
+    for b in beta:
+        total = total + b
+    inv = tinverse(total)
+    return Stack4([tprod(b, inv) for b in beta] + [inv])
 
 
 # ---------------------------------------------------------------------------

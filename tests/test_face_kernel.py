@@ -16,9 +16,12 @@ from oracles import (
     bcirc_pinv_tensor,
     direct_dft_faces,
     face_singular_values,
+    loop_bar_star,
     loop_beta_system,
+    loop_beta_to_gamma,
     loop_left_inverse,
     loop_positive_definite,
+    loop_star,
     loop_tinverse,
     loop_tls_solve,
     loop_ttsvd_pinv,
@@ -32,6 +35,8 @@ from textrap import (
     Tensor3,
     TextrapError,
     TensorSequence,
+    bar_star,
+    beta_to_gamma,
     build_sequence,
     extrapolate,
     identity_tensor,
@@ -40,6 +45,7 @@ from textrap import (
     left_inverse,
     solve,
     solve_beta_system,
+    star,
     tinverse,
     tls_solve,
     tprod,
@@ -182,6 +188,37 @@ def test_singular_face_index_matches_loop_oracles(n3):
     assert got.value.face_index == want.value.face_index == bad[0]
 
 
+@pytest.mark.parametrize("n3", N3S)
+def test_stack_contractions_match_per_slice_loops(n3):
+    # k = 1 and wider stacks, with 1 x 1 x n3 blocks and rectangular ones
+    for k in (1, 3):
+        for p, q in ((1, 1), (3, 2)):
+            a = Stack4(rand(p, q, n3) for _ in range(k))
+            b = Stack4(rand(q, 2, n3) for _ in range(k))
+            assert close(star(a, b), loop_star(a, b).data, 1e-12)
+
+            grid = Stack5(tuple(rand(p, q, n3) for _ in range(2)) for _ in range(k))
+            for got, want in zip(star(grid, b), loop_star(grid, b)):
+                assert close(got, want.data, 1e-12)
+
+            other = Stack5(tuple(rand(q, 2, n3) for _ in range(2)) for _ in range(k))
+            got, want = bar_star(grid, other), loop_bar_star(grid, other)
+            assert got.grid_shape == want.grid_shape == (k, k)
+            for tau in range(k):
+                for eta in range(k):
+                    assert close(got.block(tau, eta), want.block(tau, eta).data, 1e-12)
+
+            beta = Stack4(0.3 * rand(p, p, n3) for _ in range(k))
+            for got, want in zip(beta_to_gamma(beta), loop_beta_to_gamma(beta)):
+                assert close(got, want.data, 1e-12)
+
+            # TTEA's E_k = S_n + sum_i DS_{n+i-1} * beta_i
+            terms = [Tensor3(rand(p, q, n3)) for _ in range(2 * k + 1)]
+            e_k, betas = ttea_solve(TensorSequence(terms), 0, k, Tensor3(rand(p, q, n3)))
+            ds = Stack4(terms[j + 1] - terms[j] for j in range(k))
+            assert close(e_k, (terms[0] + loop_star(ds, betas)).data, 1e-12)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_input_raises_typed_error(value):
     n3 = 4
@@ -195,6 +232,7 @@ def test_non_finite_input_raises_typed_error(value):
         lambda: tinverse(a),
         lambda: is_invertible(a),
         lambda: tls_solve(a, Tensor3(rand(4, 1, n3))),
+        lambda: tls_solve(ok, Tensor3(b)),
         lambda: is_positive_definite(a),
         lambda: tsvd(a),
         lambda: ttsvd(a, 2),
