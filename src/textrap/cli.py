@@ -217,13 +217,12 @@ def cmd_solve(cfg: dict, rng) -> tuple[dict, int]:
     a = read_tns3(cfg["a"])
     b = read_tns3(cfg["b"])
     x_true = read_tns3(cfg["xtrue"]) if cfg["xtrue"] is not None else None
-    shift = float(cfg["shift"])
     result = solve(
         a,
         b,
         tol_eps=float(cfg["tol"]),
         k_max=int(cfg["k_max"]) if cfg["k_max"] is not None else None,
-        shift=shift if shift > 0.0 else None,
+        shift=float(cfg["shift"]),
         x_true=x_true,
     )
     write_tns3(result.t_k, cfg["output"])

@@ -15,6 +15,7 @@ __all__ = [
     "FaceSvdError",
     "NumericalConsistencyError",
     "InsufficientSequenceError",
+    "InvalidParameterError",
 ]
 
 
@@ -83,3 +84,12 @@ class NumericalConsistencyError(TextrapError):
 
 class InsufficientSequenceError(TextrapError, ValueError):
     """Not enough sequence terms are available for the requested operation."""
+
+
+class InvalidParameterError(TextrapError, ValueError):
+    """A numeric parameter is outside its domain (NaN, infinite or negative
+    where that has no meaning); ``parameter`` names it."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter

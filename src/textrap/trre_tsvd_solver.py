@@ -13,6 +13,13 @@ closed-form coefficients: with Theta_j = delta_j^T * delta_j,
 from which gamma and alpha follow by the usual normalization, and
 ``T_k = sum_j DS_j * alpha_j``.
 
+``build_sequence`` forms every term at once on the real-FFT half spectrum:
+one T-product gives all ``u_j^T * b``, a per-face scaling by the
+pseudo-inverted singular values gives the delta faces, a broadcast product
+with the faces of ``v`` the increments, and one cumulative sum the partial
+sums.  The state keeps those face arrays; its tensor lists are transformed
+back only when read.
+
 ``solve`` takes a one-column right-hand side, so every Theta_j is a tubal
 scalar and the whole k-path is scalar arithmetic on the real-FFT half
 spectrum.  On face f, with theta_j = |delta_j(f)|^2 and
@@ -25,24 +32,25 @@ where both sums are running prefix sums, so a step costs O(n2 n3) however
 large k is.  The residual norm is the trace identity
 ``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, and the norms behind eta, the
 extrapolant norms and the errors come from the same arrays by Parseval;
-only the final T_k is transformed back.  ``build_sequence`` itself accepts
-right-hand sides of any width.
+only the final T_k is transformed back, and the sequence never is.
+``build_sequence`` itself accepts right-hand sides of any width.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
-    NumericalConsistencyError,
+    InvalidParameterError,
     SingularFaceError,
 )
-from .tensor_core import Tensor3, _require_finite, _unfaces, frobenius_norm
+from .tensor_core import Tensor3, _require_finite, frobenius_norm
 from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
 from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
 
@@ -62,35 +70,70 @@ DEFAULT_THETA_SHIFT = 1e-10
 
 @dataclass(frozen=True)
 class TtsvdSequenceState:
-    """TTSVD partial-sum sequence with its extrapolation intermediates.
+    """TTSVD partial-sum sequence, held as real-FFT half-spectrum faces.
 
-    ``deltas[j]`` and ``sdeltas[j]`` belong to retained term j+1 (1-based);
-    terms whose delta vanished are dropped and the sequence reindexed, with
-    the surviving original indices in ``kept_indices``.  ``partial_sums``
-    has one extra leading entry, S_0 = 0.
+    With K retained terms, s right-hand-side columns and F = n3 // 2 + 1
+    faces, ``delta_faces`` has shape (K, s, F) and ``sum_faces`` shape
+    (K + 1, n2, s, F), whose first entry is S_0 = 0.  Terms whose delta
+    vanished are dropped and the sequence reindexed, with the surviving
+    original (1-based) indices in ``kept_indices``.
+
+    The tensor lists ``deltas``, ``sdeltas`` and ``partial_sums`` are
+    transformed back on first access; ``deltas[j]`` and ``sdeltas[j]``
+    belong to retained term j+1.  ``solve`` reads only the face arrays.
     """
 
     factors: TsvdFactors
-    deltas: list
-    sdeltas: list
-    partial_sums: list
+    delta_faces: np.ndarray
+    sum_faces: np.ndarray
     kept_indices: tuple
 
     @property
     def count(self) -> int:
         """Number of usable sequence terms (after the drop rule)."""
-        return len(self.deltas)
+        return len(self.delta_faces)
+
+    def _tensors(self, faces: np.ndarray) -> list:
+        return [Tensor3(t) for t in np.fft.irfft(faces, n=self.factors.u.n3, axis=-1)]
+
+    @cached_property
+    def deltas(self) -> list:
+        return self._tensors(self.delta_faces[:, None])
+
+    @cached_property
+    def sdeltas(self) -> list:
+        return self._tensors(_sdelta_faces(self.factors.v, self.delta_faces, self.kept_indices))
+
+    @cached_property
+    def partial_sums(self) -> list:
+        return self._tensors(self.sum_faces)
+
+
+def _sdelta_faces(v: Tensor3, delta_faces: np.ndarray, kept, out=None) -> np.ndarray:
+    """Faces (K, n2, s, F) of the increments v_j * delta_j of the terms with
+    1-based indices ``kept``."""
+    vf = np.fft.rfft(v.data[:, np.array(kept, dtype=int) - 1], axis=-1).transpose(1, 0, 2)
+    return np.multiply(vf[:, :, None, :], delta_faces[:, None], out=out)
 
 
 def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSequenceState:
     """Build the TTSVD sequence state for ``a * x = b``.
 
-    One full decomposition of ``a`` is computed up front and sliced per
-    term; the partial sums telescope over a single factor set, so this is
-    equivalent to truncating at every k separately.  Terms with an exactly
-    zero delta (for example beyond the tubal rank, where the pseudo-inverted
-    singular tube vanishes) are dropped and the sequence reindexed.  A
-    non-finite entry in ``a`` or ``b`` raises ``FaceSvdError``.
+    One full decomposition of ``a`` is computed up front and every term is
+    formed at once on the half spectrum: one T-product gives all
+    ``u_j^T * b``, whose faces scaled by the pseudo-inverted singular values
+    are the delta faces; times the faces of ``v_j`` they are the increments,
+    and one cumulative sum gives the partial sums.  The partial sums
+    telescope over a single factor set, so this is equivalent to truncating
+    at every k separately.
+
+    Drop rule: term j is dropped, and the sequence reindexed, iff delta_j is
+    zero on every face.  Its pseudo-inverted singular tube is zero on a face
+    where the singular value is at or below ``PINV_RCOND`` times that face's
+    largest, so a term whose tube is cut on every face is dropped (as is
+    every term of a zero ``b``).  A tube cut on some faces only is kept, and
+    its delta is exactly zero on the cut faces.  A non-finite entry in ``a``
+    or ``b`` raises ``FaceSvdError``.
     """
     n1, n2, n3 = a.dims
     if b.n1 != n1 or b.n3 != n3:
@@ -100,33 +143,21 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     limit = r if k_max is None else min(int(k_max), r)
     if limit < 1:
         raise DimensionMismatchError(f"k_max = {k_max} leaves no usable terms")
-    s = b.n2
     factors = tsvd(a)
-    # the pseudo-inverted singular tubes d_j^+ side by side, 1 x limit x n3
-    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[: n3 // 2 + 1])
-    d_dag = _unfaces(inv_sv[:, None, :limit], n3)
-    deltas, sdeltas, kept = [], [], []
-    for j in range(limit):
-        uj = factors.u.lateral_slice(j)
-        delta = tprod(tprod(d_dag.lateral_slice(j), ttranspose(uj)), b)
-        if delta.dims != (1, s, n3):
-            raise NumericalConsistencyError(
-                f"delta term has dims {delta.dims}, expected {(1, s, n3)}"
-            )
-        if frobenius_norm(delta) == 0.0:
-            continue
-        deltas.append(delta)
-        sdeltas.append(tprod(factors.v.lateral_slice(j), delta))
-        kept.append(j + 1)
-    partial_sums = [Tensor3(np.zeros((n2, s, n3)))]
-    for ds in sdeltas:
-        partial_sums.append(partial_sums[-1] + ds)
+    faces = n3 // 2 + 1
+    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[:faces, :limit])
+    utb = tprod(ttranspose(Tensor3(factors.u.data[:, :limit])), b)
+    deltas = inv_sv.T[:, None, :] * np.fft.rfft(utb.data, axis=-1)
+    kept = np.flatnonzero(deltas.any(axis=(1, 2))) + 1
+    deltas = deltas[kept - 1]
+    sums = np.zeros((len(kept) + 1, n2, b.n2, faces), dtype=np.complex128)
+    _sdelta_faces(factors.v, deltas, kept, out=sums[1:])
+    np.cumsum(sums[1:], axis=0, out=sums[1:])
     return TtsvdSequenceState(
         factors=factors,
-        deltas=deltas,
-        sdeltas=sdeltas,
-        partial_sums=partial_sums,
-        kept_indices=tuple(kept),
+        delta_faces=deltas,
+        sum_faces=sums,
+        kept_indices=tuple(kept.tolist()),
     )
 
 
@@ -225,8 +256,17 @@ def solve(
     every face (``shift=None`` adds nothing) and raises
     ``SingularFaceError`` when one of them is singular by the ``tinverse``
     rule.  A non-finite entry in ``a``, ``b`` or ``x_true`` raises
-    ``FaceSvdError``; one in ``b`` or ``x_true`` before any work.
+    ``FaceSvdError``; one in ``b`` or ``x_true`` before any work.  A NaN or
+    negative ``tol_eps``, and a ``shift`` that is NaN, infinite or negative,
+    raise ``InvalidParameterError`` naming the parameter, before any work.
     """
+    # written so that NaN fails both tests
+    if not tol_eps >= 0:
+        raise InvalidParameterError("tol_eps", f"tol_eps must be >= 0, got {tol_eps!r}")
+    if shift is not None and not 0 <= shift < np.inf:
+        raise InvalidParameterError(
+            "shift", f"shift must be None or finite and >= 0, got {shift!r}"
+        )
     if b.n2 != 1:
         raise DimensionMismatchError(
             f"solve takes a one-column right-hand side, got {b.n2} columns; "
@@ -251,14 +291,9 @@ def solve(
 
     # half-spectrum faces: theta (count, faces) and the partial sums
     # S_0 = 0, S_1, ... (count + 1, n2, faces)
-    deltas = np.fft.rfft(np.stack([d.data[0, 0] for d in state.deltas]), axis=-1)
+    deltas = state.delta_faces[:, 0]
     theta = deltas.real**2 + deltas.imag**2
-    sums = np.zeros((state.count + 1, n2, n3 // 2 + 1), dtype=np.complex128)
-    np.cumsum(
-        np.fft.rfft(np.stack([s.data[:, 0] for s in state.sdeltas]), axis=-1),
-        axis=0,
-        out=sums[1:],
-    )
+    sums = state.sum_faces[:, :, 0]
     shifted = theta + float(shift) if shift else theta
     first_singular = _first_singular_theta(shifted)
     with np.errstate(divide="ignore"):

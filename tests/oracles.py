@@ -13,11 +13,14 @@ the conjugate faces by hand; they are the references for the package's
 batched half-spectrum face kernel.  The per-slice stack contractions sum
 one package T-product per block; they are the references for the package's
 contractions, each of which is one T-product of concatenated operands.  The
-tensor-level TRRE-TTSVD step
-(closed-form beta by T-product inverses, the trace-identity residual and
-eta) is built from the package's T-product primitives; it is the reference
-for the face-domain solver, which shares none of that arithmetic.
+tensor-level TTSVD sequence (one lateral-slice T-product chain per term) and
+TRRE-TTSVD step (closed-form beta by T-product inverses, the trace-identity
+residual and eta) are built from the package's T-product primitives; they
+are the references for the face-domain builder and solver, which share none
+of that arithmetic.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,9 +38,11 @@ from textrap import (
     star,
     tinverse,
     tprod,
+    tsvd,
     ttranspose,
 )
 from textrap.trre_tsvd_solver import DEFAULT_THETA_SHIFT
+from textrap.tsvd import _pseudo_invert_diagonal
 
 
 def brute_bcirc(data: np.ndarray) -> np.ndarray:
@@ -408,6 +413,33 @@ def plain_truncation_errors(a: np.ndarray, b: np.ndarray, x_true: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # tensor-level TRRE-TTSVD step (reference for the face-domain solver)
+
+
+def loop_build_sequence(a: Tensor3, b: Tensor3, k_max=None) -> SimpleNamespace:
+    """The TTSVD sequence one term at a time in the time domain: delta_j =
+    d_j^+ * u_j^T * b and v_j * delta_j by package T-products of lateral
+    slices, a term dropped when its delta is exactly zero, and the partial
+    sums accumulated tensor by tensor.  Reference for ``build_sequence``."""
+    n3 = a.n3
+    limit = min(a.n1, a.n2) if k_max is None else min(int(k_max), a.n1, a.n2)
+    factors = tsvd(a)
+    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[: n3 // 2 + 1])
+    d_dag = Tensor3(np.fft.irfft(inv_sv[:, :limit], n=n3, axis=0).T[None])
+    deltas, sdeltas, kept = [], [], []
+    for j in range(limit):
+        uj = factors.u.lateral_slice(j)
+        delta = tprod(tprod(d_dag.lateral_slice(j), ttranspose(uj)), b)
+        if frobenius_norm(delta) == 0.0:
+            continue
+        deltas.append(delta)
+        sdeltas.append(tprod(factors.v.lateral_slice(j), delta))
+        kept.append(j + 1)
+    partial_sums = [Tensor3.zeros(a.n2, b.n2, n3)]
+    for ds in sdeltas:
+        partial_sums.append(partial_sums[-1] + ds)
+    return SimpleNamespace(
+        deltas=deltas, sdeltas=sdeltas, partial_sums=partial_sums, kept_indices=tuple(kept)
+    )
 
 
 def sequence_thetas(state) -> list:

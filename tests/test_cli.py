@@ -406,6 +406,21 @@ def test_solve_non_finite_rhs_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "tk.tns3").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("shift", "nan"), ("shift", "-1e-3"), ("shift", "inf"), ("tol", "nan")]
+)
+def test_solve_invalid_shift_or_tol_is_runtime_error(tmp_path, capsys, flag, value):
+    gen = gen_problem(tmp_path, capsys, dims="4,4,3")
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], f"--{flag}={value}",
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 1 and report is None
+    name = "shift" if flag == "shift" else "tol_eps"
+    assert err.startswith("error:") and f"{name} must be" in err
+    assert not (tmp_path / "tk.tns3").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -43,7 +43,7 @@ def test_tprod_matches_circulant_embedding():
         n3 = int(RNG.integers(1, 6))
         x, y = rand(n1, n2, n3), rand(n2, m, n3)
         assert rel_err(tprod(x, y), brute_tprod(x.data, y.data)) < 1e-12
-    # the tube, inner-product and outer-product shapes build_sequence multiplies
+    # the tube, inner-product and outer-product shapes of a per-term sequence build
     for n3 in (1, 2, 7, 8):
         for n1, n2, m in ((1, 1, 1), (1, 64, 1), (64, 1, 1)):
             x, y = rand(n1, n2, n3), rand(n2, m, n3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     closed_form_beta,
     eta_ratio,
+    loop_build_sequence,
     matrix_rre_on_tsvd,
     residual_norm,
     sequence_thetas,
@@ -15,6 +16,7 @@ from oracles import (
 from textrap import (
     DimensionMismatchError,
     InsufficientSequenceError,
+    InvalidParameterError,
     NumericalConsistencyError,
     SingularFaceError,
     Stack4,
@@ -508,3 +510,88 @@ def test_face_path_matches_tensor_reference(n, n3, seed, drop_last_tube, shift):
     for k, t in zip(ref["ks"][1:], ref["t"][1:]):
         got = solve_at(a, b, k, shift)
         assert frobenius_norm(got - t) <= 1e-8 * frobenius_norm(t)
+
+
+# ---------------------------------------------------------------------------
+# the face-domain builder against the per-term tensor builder
+
+
+def _same_tensors(got, want, rtol=1e-12):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dims == w.dims
+        assert frobenius_norm(g - w) <= rtol * frobenius_norm(w)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("drop_last_tube", [False, True])
+def test_build_sequence_matches_tensor_builder(n3, cols, drop_last_tube):
+    rng = np.random.default_rng(100 * n3 + 10 * cols + drop_last_tube)
+    a = Tensor3(rng.standard_normal((6, 5, n3)))
+    if drop_last_tube:
+        fac = tsvd(a)
+        sdata = fac.s.data.copy()
+        sdata[4, 4, :] = 0.0
+        a = tprod(tprod(fac.u, Tensor3(sdata)), ttranspose(fac.v))
+    b = Tensor3(rng.standard_normal((6, cols, n3)))
+    state = build_sequence(a, b)
+    want = loop_build_sequence(a, b)
+    assert state.kept_indices == want.kept_indices == tuple(range(1, 6 - drop_last_tube))
+    _same_tensors(state.deltas, want.deltas)
+    _same_tensors(state.sdeltas, want.sdeltas)
+    _same_tensors(state.partial_sums[1:], want.partial_sums[1:])
+    assert frobenius_norm(state.partial_sums[0]) == 0.0
+
+
+def tube_cut_problem(cut_faces, n=4, n3=4):
+    """An n x n x n3 operator with face singular values n, n-1, ..., 1 on
+    every half-spectrum face, except that the last tube is zero on the
+    half-spectrum faces ``cut_faces``."""
+    values = np.tile(np.arange(n, 0, -1.0), (n3 // 2 + 1, 1))
+    values[list(cut_faces), -1] = 0.0
+    sdata = np.zeros((n, n, n3))
+    sdata[np.arange(n), np.arange(n), :] = np.fft.irfft(values, n=n3, axis=0).T
+    q1, q2 = tsvd(rand(n, n, n3)).u, tsvd(rand(n, n, n3)).u
+    return tprod(tprod(q1, Tensor3(sdata)), ttranspose(q2)), rand(n, 1, n3)
+
+
+def test_tube_cut_on_every_face_is_dropped():
+    a, b = tube_cut_problem(cut_faces=[0, 1, 2])
+    state = build_sequence(a, b)
+    assert state.kept_indices == (1, 2, 3)
+    assert state.delta_faces.shape == (3, 1, 3)
+
+
+def test_tube_cut_on_some_faces_is_kept_with_zero_delta_there():
+    a, b = tube_cut_problem(cut_faces=[1])
+    state = build_sequence(a, b)
+    assert state.kept_indices == (1, 2, 3, 4)
+    last = state.delta_faces[3, 0]
+    assert last[1] == 0.0
+    assert np.all(last[[0, 2]] != 0.0)
+    assert np.all(state.sum_faces[4, :, 0, 1] == state.sum_faces[3, :, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"shift": np.nan}, "shift"),
+        ({"shift": -1e-3}, "shift"),
+        ({"shift": np.inf}, "shift"),
+        ({"tol_eps": np.nan}, "tol_eps"),
+        ({"tol_eps": -1.0}, "tol_eps"),
+    ],
+)
+def test_solve_refuses_invalid_parameters_before_any_work(kwargs, name, monkeypatch):
+    import textrap.trre_tsvd_solver as solver
+
+    def no_work(*args, **kw):
+        raise AssertionError("the sequence was built")
+
+    monkeypatch.setattr(solver, "build_sequence", no_work)
+    a, b = rand(4, 4, 3), rand(4, 1, 3)
+    with pytest.raises(InvalidParameterError, match=name) as info:
+        solve(a, b, **kwargs)
+    assert isinstance(info.value, ValueError)
+    assert info.value.parameter == name
