@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,26 +59,37 @@ class UsageError(Exception):
     """Bad invocation (unknown names, out-of-range parameters): exit code 2."""
 
 
-def _parse_dims(value) -> tuple[int, int, int]:
-    if isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = str(value).split(",")
-    if len(parts) != 3:
-        raise UsageError(f"dims must be n1,n2,n3 (got {value!r})")
+def _parse_dims(value: str) -> tuple[int, int, int]:
     try:
-        n1, n2, n3 = (int(p) for p in parts)
+        n1, n2, n3 = (int(p) for p in value.split(","))
     except ValueError as exc:
-        raise UsageError(f"dims must be three integers (got {value!r})") from exc
+        raise UsageError(f"dims must be three integers n1,n2,n3 (got {value!r})") from exc
     if min(n1, n2, n3) < 1:
         raise UsageError(f"dims must be positive (got {value!r})")
     return n1, n2, n3
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` of config key ``key`` converted as its flag converts an
+    argument: a string by the flag's type, a number only by a numeric flag
+    whose type keeps it unchanged, a bool only by an on/off flag."""
+    kind = action.type or str
+    try:
+        if action.nargs == 0 and isinstance(value, bool):
+            return value
+        if action.nargs != 0 and isinstance(value, str):
+            return kind(value)
+        if kind in (int, float) and type(value) in (int, float) and kind(value) == value:
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    wanted = "bool" if action.nargs == 0 else kind.__name__
+    raise UsageError(f"config key {key!r} must be a valid {wanted}, got {json.dumps(value)}")
+
+
 def _settings(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolve run settings: flags override config file overrides defaults."""
-    merged = dict(defaults)
-    merged["seed"] = 0
+    merged = dict(defaults, seed=0)
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -85,14 +97,15 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {action.dest: action for action in sub.choices[args.command]._actions}
         for key, value in loaded.items():
             if key in merged:
-                merged[key] = value
+                merged[key] = _config_value(flags[key], key, value)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged["seed"] = args.seed if args.seed is not None else merged.get("seed", 0)
     return merged
 
 
@@ -148,11 +161,10 @@ def cmd_gen(cfg: dict, rng) -> tuple[dict, int]:
     if cfg["dims"] is None:
         raise UsageError("gen requires --dims n1,n2,n3")
     dims = _parse_dims(cfg["dims"])
-    noise = float(cfg["noise"])
+    noise = cfg["noise"]
     if noise < 0.0:
         raise UsageError(f"noise must be >= 0 (got {noise})")
-    width = int(cfg["width"]) if cfg["width"] is not None else None
-    a, b, x_true = make_problem(dims, cfg["profile"], float(cfg["rate"]), noise, rng, width)
+    a, b, x_true = make_problem(dims, cfg["profile"], cfg["rate"], noise, rng, cfg["width"])
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -167,7 +179,7 @@ def cmd_gen(cfg: dict, rng) -> tuple[dict, int]:
         "command": "gen",
         "dims": list(dims),
         "profile": cfg["profile"],
-        "rate": float(cfg["rate"]),
+        "rate": cfg["rate"],
         "noise": noise,
         "rhs_width": x_true.n2,
         "norms": {"a": frobenius_norm(a), "b": frobenius_norm(b)},
@@ -182,10 +194,8 @@ def cmd_tsvd(cfg: dict, rng) -> tuple[dict, int]:
     a = read_tns3(cfg["input"])
     r = min(a.n1, a.n2)
     k = cfg["k"]
-    if k is not None:
-        k = int(k)
-        if not 1 <= k <= r:
-            raise UsageError(f"k = {k} is outside 1..{r} for dims {a.dims}")
+    if k is not None and not 1 <= k <= r:
+        raise UsageError(f"k = {k} is outside 1..{r} for dims {a.dims}")
     prefix = cfg["output"] or str(Path(cfg["input"]).with_suffix(""))
     if k is None or k == r:
         factors = tsvd(a)
@@ -217,14 +227,7 @@ def cmd_solve(cfg: dict, rng) -> tuple[dict, int]:
     a = read_tns3(cfg["a"])
     b = read_tns3(cfg["b"])
     x_true = read_tns3(cfg["xtrue"]) if cfg["xtrue"] is not None else None
-    result = solve(
-        a,
-        b,
-        tol_eps=float(cfg["tol"]),
-        k_max=int(cfg["k_max"]) if cfg["k_max"] is not None else None,
-        shift=float(cfg["shift"]),
-        x_true=x_true,
-    )
+    result = solve(a, b, tol_eps=cfg["tol"], k_max=cfg["k_max"], shift=cfg["shift"], x_true=x_true)
     write_tns3(result.t_k, cfg["output"])
     report = {"command": "solve", "a": str(cfg["a"]), "b": str(cfg["b"])}
     report.update(result.as_dict())
@@ -243,8 +246,7 @@ def cmd_extrapolate(cfg: dict, rng) -> tuple[dict, int]:
     if method is None or method not in METHODS + ("ttea",):
         raise UsageError(f"method must be one of {', '.join(METHODS + ('ttea',))}")
     seq = TensorSequence(list(read_tns4(cfg["input"])))
-    n = int(cfg["n"])
-    k = int(cfg["k"])
+    n, k = cfg["n"], cfg["k"]
     report = {
         "command": "extrapolate",
         "input": str(cfg["input"]),
@@ -445,6 +447,7 @@ def cmd_verify(cfg: dict, rng) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="textrap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -522,9 +525,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _settings(args, _DEFAULTS[args.command])
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         report, code = _HANDLERS[args.command](cfg, rng)
-        report["seed"] = int(cfg["seed"])
+        report["seed"] = cfg["seed"]
         _emit(report, args.report)
         return code
     except UsageError as exc:

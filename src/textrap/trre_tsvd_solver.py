@@ -28,12 +28,16 @@ W_j = 1 / (theta_j + shift),
     T_k = (S_k + theta_{k+1} sum_{j<k} W_{j+1} S_j) / den_k,
     den_k = 1 + theta_{k+1} sum_{j<=k} W_j,
 
-where both sums are running prefix sums, so a step costs O(n2 n3) however
-large k is.  The residual norm is the trace identity
-``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, and the norms behind eta, the
-extrapolant norms and the errors come from the same arrays by Parseval;
-only the final T_k is transformed back, and the sequence never is.
-``build_sequence`` itself accepts right-hand sides of any width.
+where both sums are running prefix sums.  Steps run in blocks of 8, 16,
+32, ... steps: a block continues both sums with one cumulative sum, forms
+its T_k as one (block, n2, faces) array, and takes each per-k column in
+one reduction: the residual by the trace identity
+``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, eta, the extrapolant norms
+and the errors by Parseval.  The path stops at the first k of a block that
+meets the tolerance, so a stop at k costs O(k) steps and a full path
+O(log K) blocks, for a few (block, n2, faces) arrays of extra memory; no
+step past the first singular Theta is evaluated.  Only the final T_k is
+transformed back.  ``build_sequence`` accepts right-hand sides of any width.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ __all__ = [
 #: tensor, one scaled identity, and is on by default; pass shift=None to
 #: require exactly invertible Theta)
 DEFAULT_THETA_SHIFT = 1e-10
+
+#: steps in the k-path's first block; every later block is twice as long
+_FIRST_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,6 @@ class SolverReport:
     eta_ratios: list = field(default_factory=list)
     t_norms: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    timings: list = field(default_factory=list)
     stop_reason: str = ""
     t_k: Tensor3 | None = None
     kept_indices: tuple = ()
@@ -204,7 +210,6 @@ class SolverReport:
             "residual_norms": list(self.residual_norms),
             "eta_ratios": list(self.eta_ratios),
             "t_norms": list(self.t_norms),
-            "timings": list(self.timings),
             "phase_seconds": dict(self.phase_seconds),
             "kept_indices": list(self.kept_indices),
         }
@@ -222,16 +227,6 @@ def _parseval_weights(n3: int) -> np.ndarray:
     if n3 % 2 == 0:
         c[-1] = 1.0 / n3
     return c
-
-
-def _first_singular_theta(shifted: np.ndarray) -> int:
-    """Index of the first shifted Theta that ``tinverse`` would refuse, or
-    the number of Thetas if none: a face value at or below the invertibility
-    threshold times the largest face value of that Theta."""
-    bad = np.flatnonzero(
-        shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
-    )
-    return int(bad[0]) if bad.size else len(shifted)
 
 
 def solve(
@@ -273,12 +268,15 @@ def solve(
             "solve each column separately"
         )
     n2, n3 = a.n2, a.n3
+    x_faces = None
     if x_true is not None:
         if x_true.dims != (n2, 1, n3):
             raise DimensionMismatchError(
                 f"x_true dims {x_true.dims} do not match the solution dims {(n2, 1, n3)}"
             )
         _require_finite(x_true, "x_true")
+        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
+        x_scale = frobenius_norm(x_true) or 1.0  # a zero x_true reports |T_k|
     started = time.perf_counter()
     state = build_sequence(a, b, k_max)
     if state.count == 0:
@@ -286,7 +284,7 @@ def solve(
             "right-hand side produced no usable sequence terms (every delta vanished)"
         )
     steps_started = time.perf_counter()
-    report = SolverReport(tol_eps=float(tol_eps), kept_indices=state.kept_indices)
+    report = SolverReport(float(tol_eps), stop_reason="k_max", kept_indices=state.kept_indices)
     report.phase_seconds["sequence"] = steps_started - started
 
     # half-spectrum faces: theta (count, faces) and the partial sums
@@ -295,63 +293,62 @@ def solve(
     theta = deltas.real**2 + deltas.imag**2
     sums = state.sum_faces[:, :, 0]
     shifted = theta + float(shift) if shift else theta
-    first_singular = _first_singular_theta(shifted)
-    with np.errstate(divide="ignore"):
-        weights = 1.0 / shifted
+    # step k inverts Theta_1 .. Theta_k; the path stops short of the first Theta
+    # that ``tinverse`` refuses (smallest face value <= threshold * largest)
+    singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
+    first_singular = int(np.argmax(singular)) if singular.any() else state.count
+    last = min(state.count - 1, first_singular)
+    weights = 1.0 / shifted[:last]
     parseval = _parseval_weights(n3)
 
-    def norm(faces: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2))))
+    def norms(faces: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
 
-    x_faces = x_scale = None
-    if x_true is not None:
-        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
-        x_scale = frobenius_norm(x_true)
+    def record(k0, t, t_norms, res, eta):
+        report.ks.extend(range(k0, k0 + len(t)))
+        report.residual_norms.extend(res)
+        report.eta_ratios.extend(eta)
+        report.t_norms.extend(t_norms.tolist())
+        errors = None if x_faces is None else norms(t - x_faces) / x_scale
+        report.errors.extend([None] * len(t) if errors is None else errors.tolist())
 
-    def record(k, t_faces, res, eta, step_started):
-        report.ks.append(k)
-        report.residual_norms.append(res)
-        report.eta_ratios.append(eta)
-        t_norm = norm(t_faces)
-        report.t_norms.append(t_norm)
-        if x_faces is None:
-            report.errors.append(None)
-        elif x_scale > 0:
-            report.errors.append(norm(t_faces - x_faces) / x_scale)
-        else:
-            report.errors.append(t_norm)
-        report.timings.append(time.perf_counter() - step_started)
-        return t_norm
-
-    t_prev = sums[1]
-    prev_norm = record(1, t_prev, None, None, steps_started)
-    report.stop_reason = "k_max"
-    weighted = np.zeros_like(t_prev)  # sum_{j<k} W_{j+1} S_j
-    weight_sum = weights[0]  # sum_{j<=k} W_j
-    for k in range(2, state.count):
-        step_started = time.perf_counter()
-        if first_singular < k:
-            j = first_singular
+    t = sums[1:2]  # T_1 = S_1; each block's first row is the T before it
+    record(1, t, norms(t), [None], [None])
+    # carried between blocks: sum_{j<k0-1} W_j and sum_{1<=j<k0-1} W_j S_j, from k0 = 2
+    weight_sum, weighted = weights[:1], np.zeros_like(t)
+    k0, size = 2, _FIRST_BLOCK
+    while k0 <= last:
+        k1 = min(k0 + size, last + 1)
+        w = weights[k0 - 1 : k1 - 1]
+        weight_sum = np.cumsum(np.concatenate([weight_sum[-1:], w]), axis=0)[1:]
+        terms = np.concatenate([weighted[-1:], w[:, None] * sums[k0 - 1 : k1 - 1]])
+        weighted = np.cumsum(terms, axis=0)[1:]
+        theta_next = theta[k0:k1]
+        den = 1.0 + theta_next * weight_sum
+        t = np.concatenate([t[-1:], theta_next[:, None] * weighted])
+        t[1:] += sums[k0:k1]
+        t[1:] /= den[:, None]
+        res = np.sqrt(np.sum(parseval * theta[k0 - 1 : k1 - 1] * w * theta_next / den, axis=-1))
+        t_norms = norms(t)
+        eta = norms(np.diff(t, axis=0)) / t_norms[:-1]
+        hit = np.flatnonzero(np.minimum(res, eta) < tol_eps)
+        n = hit[0] + 1 if hit.size else k1 - k0
+        t = t[: n + 1]
+        record(k0, t[1:], t_norms[1 : n + 1], res[:n].tolist(), eta[:n].tolist())
+        if hit.size:
+            report.stop_reason = "tolerance"
+            break
+        k0, size = k1, 2 * size
+    else:
+        j, k = first_singular, max(2, first_singular + 1)
+        if k < state.count:
             face = int(np.argmin(shifted[j]))
             smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
             raise SingularFaceError(
                 f"Theta_{j + 1} at step k={k}: face {face} is singular to working "
                 f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
-                face_index=face,
-                cond=top / smin if smin > 0 else np.inf,
+                face_index=face, cond=top / smin if smin > 0 else np.inf,
             )
-        weighted += weights[k - 1] * sums[k - 1]
-        weight_sum = weight_sum + weights[k - 1]
-        theta_next = theta[k]
-        den = 1.0 + theta_next * weight_sum
-        t_k = (sums[k] + theta_next * weighted) / den
-        res = float(np.sqrt(np.sum(parseval * theta[k - 1] * weights[k - 1] * theta_next / den)))
-        eta = norm(t_k - t_prev) / prev_norm
-        prev_norm = record(k, t_k, res, eta, step_started)
-        t_prev = t_k
-        if min(res, eta) < tol_eps:
-            report.stop_reason = "tolerance"
-            break
-    report.t_k = Tensor3(np.fft.irfft(t_prev, n=n3, axis=-1)[:, None, :])
+    report.t_k = Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :])
     report.phase_seconds["steps"] = time.perf_counter() - steps_started
     return report

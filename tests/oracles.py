@@ -7,7 +7,7 @@ textbook vector-extrapolation formulas in their classical
 gamma-parameterized forms.  None of it shares code paths with the
 package implementations it is used to validate.
 
-Three sections are exceptions.  The per-face loop forms transform with the
+Four sections are exceptions.  The per-face loop forms transform with the
 full complex ``fft``, solve one face at a time in a Python loop and mirror
 the conjugate faces by hand; they are the references for the package's
 batched half-spectrum face kernel.  The per-slice stack contractions sum
@@ -17,7 +17,8 @@ tensor-level TTSVD sequence (one lateral-slice T-product chain per term) and
 TRRE-TTSVD step (closed-form beta by T-product inverses, the trace-identity
 residual and eta) are built from the package's T-product primitives; they
 are the references for the face-domain builder and solver, which share none
-of that arithmetic.
+of that arithmetic.  The step-by-step k-path loop reads the package's own
+sequence faces; it is the reference for the solver's block evaluation.
 """
 
 from types import SimpleNamespace
@@ -41,6 +42,7 @@ from textrap import (
     tsvd,
     ttranspose,
 )
+from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
 from textrap.trre_tsvd_solver import DEFAULT_THETA_SHIFT
 from textrap.tsvd import _pseudo_invert_diagonal
 
@@ -591,4 +593,77 @@ def trre_tsvd_path(state, shift=DEFAULT_THETA_SHIFT, x_true=None) -> dict:
     if x_true is not None:
         scale = frobenius_norm(x_true)
         out["errors"] = [frobenius_norm(t - x_true) / scale for t in out["t"]]
+    return out
+
+
+
+def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> dict:
+    """``solve``'s k-path one step at a time on the state's half-spectrum
+    faces: the running prefix sums updated per k, three Parseval norms per
+    step, and the stop tested after each step.  Step k raises
+    ``SingularFaceError`` when one of Theta_1 .. Theta_k is singular by the
+    ``tinverse`` rule.  Returns the per-k columns, ``stop_reason`` and the
+    final ``t_k``.  Reference for the block evaluation in ``solve``."""
+    n3 = state.factors.u.n3
+    deltas = state.delta_faces[:, 0]
+    theta = deltas.real**2 + deltas.imag**2
+    sums = state.sum_faces[:, :, 0]
+    shifted = theta + float(shift) if shift else theta
+    singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / shifted
+    parseval = np.full(n3 // 2 + 1, 2.0 / n3)
+    parseval[0] = 1.0 / n3
+    if n3 % 2 == 0:
+        parseval[-1] = 1.0 / n3
+
+    def norm(faces):
+        return float(np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2))))
+
+    x_faces = scale = None
+    if x_true is not None:
+        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
+        scale = frobenius_norm(x_true)
+    out = {"ks": [], "residual_norms": [], "eta_ratios": [], "t_norms": [], "errors": []}
+
+    def record(k, t, res, eta):
+        t_norm = norm(t)
+        out["ks"].append(k)
+        out["residual_norms"].append(res)
+        out["eta_ratios"].append(eta)
+        out["t_norms"].append(t_norm)
+        if x_faces is None:
+            out["errors"].append(None)
+        else:
+            out["errors"].append(norm(t - x_faces) / scale if scale > 0 else t_norm)
+        return t_norm
+
+    t_prev = sums[1]
+    prev_norm = record(1, t_prev, None, None)
+    out["stop_reason"] = "k_max"
+    weighted = np.zeros_like(t_prev)
+    weight_sum = weights[0]
+    for k in range(2, state.count):
+        if singular[:k].any():
+            j = int(np.argmax(singular))
+            face = int(np.argmin(shifted[j]))
+            smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
+            raise SingularFaceError(
+                f"Theta_{j + 1} at step k={k}: face {face} is singular to working "
+                f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
+                face_index=face,
+                cond=top / smin if smin > 0 else np.inf,
+            )
+        weighted += weights[k - 1] * sums[k - 1]
+        weight_sum = weight_sum + weights[k - 1]
+        den = 1.0 + theta[k] * weight_sum
+        t_k = (sums[k] + theta[k] * weighted) / den
+        res = float(np.sqrt(np.sum(parseval * theta[k - 1] * weights[k - 1] * theta[k] / den)))
+        eta = norm(t_k - t_prev) / prev_norm
+        prev_norm = record(k, t_k, res, eta)
+        t_prev = t_k
+        if min(res, eta) < tol_eps:
+            out["stop_reason"] = "tolerance"
+            break
+    out["t_k"] = Tensor3(np.fft.irfft(t_prev, n=n3, axis=-1)[:, None, :])
     return out

@@ -494,6 +494,59 @@ def test_config_must_hold_an_object(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("solve", {"tol": "abc"}),
+        ("solve", {"shift": None}),
+        ("solve", {"tol": [1]}),
+        ("solve", {"k_max": 2.5}),
+        ("solve", {"k_max": True}),
+        ("solve", {"k_max": "2.5"}),
+        ("solve", {"xtrue": 3}),
+        ("gen", {"rate": "fast"}),
+        ("gen", {"dims": [4, 2, 2]}),
+        ("extrapolate", {"default_y": "yes"}),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, command, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code, report, err = run_cli([command, "--config", cfg, "--output", tmp_path / "out"], capsys)
+    assert code == 2 and report is None
+    (key,) = settings
+    assert err.startswith("usage error:") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_convert_like_their_flags(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="6,6,2", rate="0.5")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": gen["paths"]["a"], "b": gen["paths"]["b"], "tol": 0,
+                               "k_max": 4.0, "shift": "1e-10", "seed": "3"}))
+    code, report, _ = run_cli(["solve", "--config", cfg, "--output", tmp_path / "tk.tns3"], capsys)
+    assert code == 0
+    assert report["tol_eps"] == 0.0 and report["ks"] == [1, 2, 3]
+    assert report["seed"] == 3
+    cfg.write_text(json.dumps({"k_max": "4"}))
+    code, report, _ = run_cli(
+        ["solve", "--config", cfg, "-i", gen["paths"]["a"], "--b", gen["paths"]["b"],
+         "--tol", "0", "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 0 and report["ks"] == [1, 2, 3]
+
+
+def test_consecutive_runs_share_no_parsed_state(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="6,6,2", rate="0.5")
+    argv = ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"],
+            "--output", tmp_path / "tk.tns3"]
+    code, first, _ = run_cli(argv + ["--tol", "0", "--k-max", "3"], capsys)
+    assert code == 0 and first["tol_eps"] == 0.0 and first["final_k"] == 2
+    code, second, _ = run_cli(argv, capsys)
+    assert code == 0 and second["tol_eps"] == 1e-8 and second["seed"] == 0
+    assert second["kept_indices"] == [1, 2, 3, 4, 5, 6]
+
+
 def test_report_flag_redirects_output(tmp_path, capsys):
     rpt = tmp_path / "report.json"
     code, report, _ = run_cli(

@@ -7,6 +7,7 @@ from oracles import (
     closed_form_beta,
     eta_ratio,
     loop_build_sequence,
+    loop_solve_path,
     matrix_rre_on_tsvd,
     residual_norm,
     sequence_thetas,
@@ -35,6 +36,7 @@ from textrap import (
     ttranspose,
     ttsvd,
 )
+from textrap.trre_tsvd_solver import _FIRST_BLOCK
 
 RNG = np.random.default_rng(20240806)
 
@@ -384,7 +386,6 @@ def test_solve_stop_reasons_and_history():
         report.eta_ratios,
         report.t_norms,
         report.errors,
-        report.timings,
     ):
         assert len(field) == n_rows
     assert report.iterations == n_rows
@@ -595,3 +596,98 @@ def test_solve_refuses_invalid_parameters_before_any_work(kwargs, name, monkeypa
         solve(a, b, **kwargs)
     assert isinstance(info.value, ValueError)
     assert info.value.parameter == name
+
+
+# ---------------------------------------------------------------------------
+# the block evaluation of the k-path against the step-by-step loop
+
+
+def _block_spans(count):
+    """(first, last) step of each block of the k-path over ``count`` terms."""
+    spans, k0, size = [], 2, _FIRST_BLOCK
+    while k0 < count:
+        spans.append((k0, min(k0 + size, count) - 1))
+        k0, size = k0 + size, 2 * size
+    return spans
+
+
+def _stop_tolerances(ref):
+    """0, and for the first, a middle and the last step of each block that
+    a tolerance can stop at (a strict running minimum of min(res, eta)), a
+    tolerance halfway between its min(res, eta) and the smallest before."""
+    ks = ref["ks"][1:]
+    m = np.minimum(ref["residual_norms"][1:], ref["eta_ratios"][1:])
+    earlier = np.minimum.accumulate(np.concatenate([[np.inf], m[:-1]]))
+    reachable = {k: (v + min(e, 2 * v)) / 2 for k, v, e in zip(ks, m, earlier) if v < 0.999 * e}
+    tols = {0.0: None}
+    for lo, hi in _block_spans(len(ks) + 2):
+        inside = [k for k in reachable if lo <= k <= hi]
+        for k in {inside[0], inside[len(inside) // 2], inside[-1]} if inside else ():
+            tols[reachable[k]] = k
+    return tols
+
+
+def _same_path(report, ref, rtol=1e-12):
+    assert report.ks == ref["ks"]
+    assert report.stop_reason == ref["stop_reason"]
+    assert report.residual_norms[0] is None and report.eta_ratios[0] is None
+    for key in ("residual_norms", "eta_ratios", "t_norms", "errors"):
+        got, want = getattr(report, key), ref[key]
+        if key in ("residual_norms", "eta_ratios"):
+            got, want = got[1:], want[1:]
+        assert np.allclose(got, want, rtol=rtol, atol=0.0), key
+    assert frobenius_norm(report.t_k - ref["t_k"]) <= rtol * frobenius_norm(ref["t_k"])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    n=st.integers(30, 50),
+    n3=st.sampled_from([1, 2, 5, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([1e-10, None]),
+)
+def test_block_path_matches_step_loop(n, n3, seed, shift):
+    rng = np.random.default_rng(seed)
+    a = Tensor3(rng.standard_normal((n, n, n3)))
+    b = Tensor3(rng.standard_normal((n, 1, n3)))
+    x = Tensor3(rng.standard_normal((n, 1, n3)))
+    state = build_sequence(a, b)
+    assert len(_block_spans(state.count)) >= 3
+    for tol, k in _stop_tolerances(loop_solve_path(state, 0.0, shift, x)).items():
+        ref = loop_solve_path(state, tol, shift, x)
+        if k is not None:
+            assert ref["ks"][-1] == k and ref["stop_reason"] == "tolerance"
+        _same_path(solve(a, b, tol_eps=tol, shift=shift, x_true=x), ref)
+
+
+def late_singular_problem(n=30, n3=4, constant_from=12):
+    """An F-diagonal operator whose singular tubes are constant on every face
+    and a right-hand side whose components j >= ``constant_from`` are
+    constant along mode 3: Theta_{constant_from + 1} is the first Theta with
+    zero faces, and they are exactly zero."""
+    sdata = np.zeros((n, n, n3))
+    sdata[np.arange(n), np.arange(n), 0] = 10.0 ** (-0.05 * np.arange(n))
+    bdata = RNG.uniform(0.5, 1.5, (n, 1, n3))
+    bdata[constant_from:] = bdata[constant_from:, :, :1]
+    return Tensor3(sdata), Tensor3(bdata)
+
+
+def test_singular_theta_after_the_first_block():
+    a, b = late_singular_problem()
+    x = rand(30, 1, 4)
+    state = build_sequence(a, b)
+    assert np.all(state.delta_faces[12:, 0, 1:] == 0.0)
+    with pytest.raises(SingularFaceError) as want:
+        loop_solve_path(state, 0.0, shift=None)
+    assert "Theta_13 at step k=13" in str(want.value)
+    with pytest.raises(SingularFaceError) as got:
+        solve(a, b, tol_eps=0.0, shift=None, x_true=x)
+    assert str(got.value) == str(want.value)
+    assert got.value.face_index == want.value.face_index
+    # the steps before the singular Theta can stop at tolerance
+    ref = loop_solve_path(build_sequence(a, b, k_max=13), 0.0, shift=None)
+    assert ref["ks"][-1] == 12
+    tol = 1.000001 * np.min(np.minimum(ref["residual_norms"][1:], ref["eta_ratios"][1:]))
+    want_path = loop_solve_path(state, tol, shift=None, x_true=x)
+    assert want_path["stop_reason"] == "tolerance" and want_path["ks"][-1] <= 12
+    _same_path(solve(a, b, tol_eps=tol, shift=None, x_true=x), want_path)
