@@ -100,12 +100,15 @@ def _settings(args: argparse.Namespace, defaults: dict) -> dict:
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         flags = {action.dest: action for action in sub.choices[args.command]._actions}
         for key, value in loaded.items():
-            if key in merged:
-                merged[key] = _config_value(flags[key], key, value)
+            if key not in merged:
+                raise UsageError(f"config key {key!r} names no {args.command} setting")
+            merged[key] = _config_value(flags[key], key, value)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    if merged["seed"] < 0:
+        raise UsageError(f"seed must be >= 0 (got {merged['seed']})")
     return merged
 
 
@@ -130,13 +133,13 @@ def _singular_profile(profile: str, rate: float, r: int) -> np.ndarray:
     raise UsageError(f"unknown profile {profile!r} (choose from {', '.join(PROFILES)})")
 
 
-def make_problem(dims, profile, rate, noise, rng, width=None):
+def make_problem(dims, profile, rate, noise, rng, width):
     """Build (a, b, x_true) with prescribed face singular decay.
 
     ``a = u * s * v^T`` with random orthogonal factors and an F-diagonal
     ``s`` carrying the same profile on every face; ``b`` is the exact image
-    of a random ``x_true`` plus a noise tensor rescaled to the requested
-    relative level.
+    of a random ``x_true`` with ``width`` columns plus a noise tensor
+    rescaled to the requested relative level.
     """
     n1, n2, n3 = dims
     r = min(n1, n2)
@@ -146,7 +149,7 @@ def make_problem(dims, profile, rate, noise, rng, width=None):
     sdata = np.zeros((n1, n2, n3))
     sdata[np.arange(r), np.arange(r), 0] = sig
     a = tprod(tprod(u, Tensor3(sdata)), ttranspose(v))
-    x_true = Tensor3(rng.standard_normal((n2, width or n2, n3)))
+    x_true = Tensor3(rng.standard_normal((n2, width, n3)))
     b_bar = tprod(a, x_true)
     if noise > 0.0:
         g = rng.standard_normal(b_bar.dims)
@@ -164,6 +167,8 @@ def cmd_gen(cfg: dict, rng) -> tuple[dict, int]:
     noise = cfg["noise"]
     if noise < 0.0:
         raise UsageError(f"noise must be >= 0 (got {noise})")
+    if cfg["width"] < 1:
+        raise UsageError(f"width must be >= 1 (got {cfg['width']})")
     a, b, x_true = make_problem(dims, cfg["profile"], cfg["rate"], noise, rng, cfg["width"])
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -463,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=PROFILES)
     p.add_argument("--rate", type=float, help="decay rate / power of the singular profile")
     p.add_argument("--noise", type=float, help="relative noise level on B")
-    p.add_argument("--width", type=int, help="second dimension of Xtrue (default n2)")
+    p.add_argument("--width", type=int, help="second dimension of Xtrue (default 1)")
     p.add_argument("--output", "-o", help="output directory")
 
     p = sub.add_parser("tsvd", help="decompose a tensor, optionally truncated")

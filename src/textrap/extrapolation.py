@@ -346,23 +346,21 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     Solves the k x k block system with Hankel-type blocks
     ``ttranspose(y) * D2S_{n+i+j-1}`` (row j = 0..k-1, column i = 1..k)
     against right-hand sides ``-ttranspose(y) * DS_{n+j}``, then forms
-    ``E_k = S_n + sum_i DS_{n+i-1} * beta_i``.  Needs 2k+1 terms from
-    index n.
+    ``E_k = S_n + sum_i DS_{n+i-1} * beta_i``.  Needs n >= 0, k >= 1 and
+    2k+1 terms from index n.
     """
-    if k < 1:
-        raise InsufficientSequenceError(f"TTEA needs k >= 1, got {k}")
+    if n < 0 or k < 1:
+        raise InsufficientSequenceError(f"TTEA needs n >= 0 and k >= 1, got n={n}, k={k}")
     if y.dims != seq.dims:
         raise DimensionMismatchError(
             f"TTEA test tensor dims {y.dims} do not match sequence dims {seq.dims}"
         )
-    seq.require(n + 2 * k + 1, f"TTEA width {k} at n={n}")
     _, n2, n3 = seq.dims
-    delta = Stack4(seq[n + j + 1] - seq[n + j] for j in range(2 * k))
+    delta, delta2 = difference_stacks(seq, n, 2 * k - 1)
     if all(frobenius_norm(d) == 0.0 for d in delta):
         # converged window: E_k = S_n with vanishing coefficients
         zero = Tensor3(np.zeros((n2, n2, n3)))
         return seq[n], Stack4([zero] * k)
-    delta2 = [delta[j + 1] - delta[j] for j in range(2 * k - 1)]
     yh = _faces(y.data).conj().swapaxes(1, 2)
     # face blocks y^H D2S_m for every m side by side; block row j is the
     # window m = j .. j+k-1, so the rows are Hankel

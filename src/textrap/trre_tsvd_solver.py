@@ -28,16 +28,16 @@ W_j = 1 / (theta_j + shift),
     T_k = (S_k + theta_{k+1} sum_{j<k} W_{j+1} S_j) / den_k,
     den_k = 1 + theta_{k+1} sum_{j<=k} W_j,
 
-where both sums are running prefix sums.  Steps run in blocks of 8, 16,
-32, ... steps: a block continues both sums with one cumulative sum, forms
-its T_k as one (block, n2, faces) array, and takes each per-k column in
-one reduction: the residual by the trace identity
+where both sums are running prefix sums.  The k-path is one pass over
+every step the sequence allows: one cumulative sum for each prefix sum,
+every T_k formed in place as one (K, n2, faces) array, and each per-k
+column as one reduction: the residual by the trace identity
 ``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, eta, the extrapolant norms
-and the errors by Parseval.  The path stops at the first k of a block that
-meets the tolerance, so a stop at k costs O(k) steps and a full path
-O(log K) blocks, for a few (block, n2, faces) arrays of extra memory; no
-step past the first singular Theta is evaluated.  Only the final T_k is
-transformed back.  ``build_sequence`` accepts right-hand sides of any width.
+and the errors by Parseval.  The path stops at the first k that meets the
+tolerance; its extra memory is a few arrays of the shape of ``sum_faces``,
+and no step past the first singular Theta is evaluated.  Only the final
+T_k is transformed back.  ``build_sequence`` accepts right-hand sides of
+any width.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ __all__ = [
 #: tensor, one scaled identity, and is on by default; pass shift=None to
 #: require exactly invertible Theta)
 DEFAULT_THETA_SHIFT = 1e-10
-
-#: steps in the k-path's first block; every later block is twice as long
-_FIRST_BLOCK = 8
-
 
 @dataclass(frozen=True)
 class TtsvdSequenceState:
@@ -239,21 +235,22 @@ def solve(
 ) -> SolverReport:
     """Run the reduced-rank TTSVD solver with both stopping criteria.
 
-    Starting from ``T_1 = S_1``, iterates k = 2, 3, ... computing the
-    extrapolant, its residual norm, and the relative change
-    ``|T_k - T_{k-1}| / |T_{k-1}|`` from the previous extrapolant; continues
-    while ``min(residual, eta) >= tol_eps`` and terms remain, then reports
-    the full history.  ``x_true``, when supplied, adds a relative-error
-    column.
+    Starting from ``T_1 = S_1``, forms for every k = 2, 3, ... the sequence
+    allows, in one pass, the extrapolant, its residual norm, and the
+    relative change ``|T_k - T_{k-1}| / |T_{k-1}|`` from the previous
+    extrapolant; stops at the first k with ``min(residual, eta) < tol_eps``,
+    else at the last term, and reports the history up to there.
+    ``x_true``, when supplied, adds a relative-error column.
 
     ``b`` must have one column; solve a wider right-hand side one column at
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
-    every face (``shift=None`` adds nothing) and raises
-    ``SingularFaceError`` when one of them is singular by the ``tinverse``
-    rule.  A non-finite entry in ``a``, ``b`` or ``x_true`` raises
-    ``FaceSvdError``; one in ``b`` or ``x_true`` before any work.  A NaN or
-    negative ``tol_eps``, and a ``shift`` that is NaN, infinite or negative,
-    raise ``InvalidParameterError`` naming the parameter, before any work.
+    every face (``shift=None`` adds nothing); the first step that inverts a
+    Theta singular by the ``tinverse`` rule raises ``SingularFaceError``
+    unless the tolerance stopped the path before it.  A non-finite entry in
+    ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
+    ``x_true`` before any work.  A NaN or negative ``tol_eps``, and a
+    ``shift`` that is NaN, infinite or negative, raise
+    ``InvalidParameterError`` naming the parameter, before any work.
     """
     # written so that NaN fails both tests
     if not tol_eps >= 0:
@@ -284,8 +281,6 @@ def solve(
             "right-hand side produced no usable sequence terms (every delta vanished)"
         )
     steps_started = time.perf_counter()
-    report = SolverReport(float(tol_eps), stop_reason="k_max", kept_indices=state.kept_indices)
-    report.phase_seconds["sequence"] = steps_started - started
 
     # half-spectrum faces: theta (count, faces) and the partial sums
     # S_0 = 0, S_1, ... (count + 1, n2, faces)
@@ -297,58 +292,51 @@ def solve(
     # that ``tinverse`` refuses (smallest face value <= threshold * largest)
     singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
     first_singular = int(np.argmax(singular)) if singular.any() else state.count
-    last = min(state.count - 1, first_singular)
+    last = min(state.count - 1, first_singular)  # steps 2 .. last are evaluated
     weights = 1.0 / shifted[:last]
     parseval = _parseval_weights(n3)
 
     def norms(faces: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
 
-    def record(k0, t, t_norms, res, eta):
-        report.ks.extend(range(k0, k0 + len(t)))
-        report.residual_norms.extend(res)
-        report.eta_ratios.extend(eta)
-        report.t_norms.extend(t_norms.tolist())
-        errors = None if x_faces is None else norms(t - x_faces) / x_scale
-        report.errors.extend([None] * len(t) if errors is None else errors.tolist())
-
-    t = sums[1:2]  # T_1 = S_1; each block's first row is the T before it
-    record(1, t, norms(t), [None], [None])
-    # carried between blocks: sum_{j<k0-1} W_j and sum_{1<=j<k0-1} W_j S_j, from k0 = 2
-    weight_sum, weighted = weights[:1], np.zeros_like(t)
-    k0, size = 2, _FIRST_BLOCK
-    while k0 <= last:
-        k1 = min(k0 + size, last + 1)
-        w = weights[k0 - 1 : k1 - 1]
-        weight_sum = np.cumsum(np.concatenate([weight_sum[-1:], w]), axis=0)[1:]
-        terms = np.concatenate([weighted[-1:], w[:, None] * sums[k0 - 1 : k1 - 1]])
-        weighted = np.cumsum(terms, axis=0)[1:]
-        theta_next = theta[k0:k1]
-        den = 1.0 + theta_next * weight_sum
-        t = np.concatenate([t[-1:], theta_next[:, None] * weighted])
-        t[1:] += sums[k0:k1]
-        t[1:] /= den[:, None]
-        res = np.sqrt(np.sum(parseval * theta[k0 - 1 : k1 - 1] * w * theta_next / den, axis=-1))
-        t_norms = norms(t)
-        eta = norms(np.diff(t, axis=0)) / t_norms[:-1]
-        hit = np.flatnonzero(np.minimum(res, eta) < tol_eps)
-        n = hit[0] + 1 if hit.size else k1 - k0
-        t = t[: n + 1]
-        record(k0, t[1:], t_norms[1 : n + 1], res[:n].tolist(), eta[:n].tolist())
-        if hit.size:
-            report.stop_reason = "tolerance"
-            break
-        k0, size = k1, 2 * size
-    else:
-        j, k = first_singular, max(2, first_singular + 1)
-        if k < state.count:
-            face = int(np.argmin(shifted[j]))
-            smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
-            raise SingularFaceError(
-                f"Theta_{j + 1} at step k={k}: face {face} is singular to working "
-                f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
-                face_index=face, cond=top / smin if smin > 0 else np.inf,
-            )
-    report.t_k = Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :])
-    report.phase_seconds["steps"] = time.perf_counter() - steps_started
-    return report
+    # row k-1 holds T_k: first sum_{1<=j<k} W_{j+1} S_j, then T_k in place
+    t = np.zeros((max(last, 1), n2, sums.shape[-1]), dtype=sums.dtype)
+    np.multiply(weights[1:, None], sums[1:last], out=t[1:])
+    np.cumsum(t, axis=0, out=t)
+    theta_next = theta[2 : last + 1]
+    den = 1.0 + theta_next * np.cumsum(weights, axis=0)[1:]
+    t[1:] *= theta_next[:, None]
+    t[1:] += sums[2 : last + 1]
+    t[1:] /= den[:, None]
+    t[0] = sums[1]
+    res = np.sqrt(np.sum(parseval * theta[1:last] * weights[1:] * theta_next / den, axis=-1))
+    t_norms = norms(t)
+    eta = norms(np.diff(t, axis=0)) / t_norms[:-1]
+    hit = np.flatnonzero(np.minimum(res, eta) < tol_eps)
+    if hit.size:
+        t = t[: hit[0] + 2]
+    elif max(2, first_singular + 1) < state.count:
+        j = first_singular
+        face = int(np.argmin(shifted[j]))
+        smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
+        raise SingularFaceError(
+            f"Theta_{j + 1} at step k={max(2, j + 1)}: face {face} is singular to working "
+            f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
+            face_index=face, cond=top / smin if smin > 0 else np.inf,
+        )
+    k = len(t)  # the final k
+    return SolverReport(
+        float(tol_eps),
+        ks=list(range(1, k + 1)),
+        residual_norms=[None, *res[: k - 1].tolist()],
+        eta_ratios=[None, *eta[: k - 1].tolist()],
+        t_norms=t_norms[:k].tolist(),
+        errors=[None] * k if x_faces is None else (norms(t - x_faces) / x_scale).tolist(),
+        stop_reason="tolerance" if hit.size else "k_max",
+        t_k=Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :]),
+        kept_indices=state.kept_indices,
+        phase_seconds={
+            "sequence": steps_started - started,
+            "steps": time.perf_counter() - steps_started,
+        },
+    )

@@ -603,7 +603,7 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
     step, and the stop tested after each step.  Step k raises
     ``SingularFaceError`` when one of Theta_1 .. Theta_k is singular by the
     ``tinverse`` rule.  Returns the per-k columns, ``stop_reason`` and the
-    final ``t_k``.  Reference for the block evaluation in ``solve``."""
+    final ``t_k``.  Reference for the one-pass evaluation in ``solve``."""
     n3 = state.factors.u.n3
     deltas = state.delta_faces[:, 0]
     theta = deltas.real**2 + deltas.imag**2

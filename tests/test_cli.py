@@ -147,6 +147,13 @@ def test_gen_rejects_negative_noise_and_bad_dims(tmp_path, capsys):
     assert code == 2 and "dims" in err
     code, _, err = run_cli(["gen", "--dims", "4,0,3", "--output", tmp_path], capsys)
     assert code == 2 and "positive" in err
+    for width in ("0", "-2"):
+        code, report, err = run_cli(
+            ["gen", "--dims", "6,6,2", "--width", width, "--output", tmp_path / "out"], capsys
+        )
+        assert code == 2 and report is None
+        assert err.startswith("usage error:") and "width" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +373,21 @@ def test_extrapolate_ttea_reports_beta_only(tmp_path, capsys):
     assert code == 2 and "ttea" in err
 
 
+def test_extrapolate_ttea_refuses_a_negative_start(tmp_path, capsys):
+    seq_path, _ = linear_sequence_files(tmp_path)
+    y_path = tmp_path / "y.tns3"
+    write_tns3(Tensor3(RNG.standard_normal((5, 1, 3))), y_path)
+    out = tmp_path / "e.tns3"
+    code, report, err = run_cli(
+        ["extrapolate", "-i", seq_path, "--method", "ttea", "--n", "-1", "--k", "1",
+         "--y", y_path, "--output", out],
+        capsys,
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error:") and "n >= 0" in err
+    assert not out.exists()
+
+
 def test_extrapolate_usage_errors(tmp_path, capsys):
     seq_path, _ = linear_sequence_files(tmp_path)
     code, _, err = run_cli(
@@ -516,6 +538,37 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, command
     assert code == 2 and report is None
     (key,) = settings
     assert err.startswith("usage error:") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_that_names_no_setting_is_usage_error(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="6,6,2", rate="0.5")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": 3, "tol": 0}))
+    code, report, err = run_cli(
+        ["solve", "--config", cfg, "-i", gen["paths"]["a"], "--b", gen["paths"]["b"],
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "'kmax'" in err
+    assert not (tmp_path / "tk.tns3").exists()
+    # a key of another subcommand names no setting of this one
+    cfg.write_text(json.dumps({"dims": "4,2,2"}))
+    code, _, err = run_cli(["verify", "--config", cfg], capsys)
+    assert code == 2 and "'dims'" in err
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    code, report, err = run_cli(
+        ["gen", "--dims", "2,2,2", "--seed", "-1", "--output", tmp_path / "out"], capsys
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "seed" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": "2,2,2", "seed": -1}))
+    code, report, err = run_cli(["gen", "--config", cfg, "--output", tmp_path / "out"], capsys)
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "seed" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -232,6 +232,8 @@ def test_insufficient_terms():
         ttea_solve(seq, 0, 2, rand(2, 1, 2))
     with pytest.raises(InsufficientSequenceError):
         ttea_solve(seq, 0, 0, rand(2, 1, 2))
+    with pytest.raises(InsufficientSequenceError, match="n >= 0"):
+        ttea_solve(seq, -1, 1, rand(2, 1, 2))
 
 
 def test_ttea_dimension_check():

@@ -36,7 +36,6 @@ from textrap import (
     ttranspose,
     ttsvd,
 )
-from textrap.trre_tsvd_solver import _FIRST_BLOCK
 
 RNG = np.random.default_rng(20240806)
 
@@ -599,31 +598,22 @@ def test_solve_refuses_invalid_parameters_before_any_work(kwargs, name, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the block evaluation of the k-path against the step-by-step loop
-
-
-def _block_spans(count):
-    """(first, last) step of each block of the k-path over ``count`` terms."""
-    spans, k0, size = [], 2, _FIRST_BLOCK
-    while k0 < count:
-        spans.append((k0, min(k0 + size, count) - 1))
-        k0, size = k0 + size, 2 * size
-    return spans
+# the one-pass k-path against the step-by-step loop
 
 
 def _stop_tolerances(ref):
-    """0, and for the first, a middle and the last step of each block that
-    a tolerance can stop at (a strict running minimum of min(res, eta)), a
-    tolerance halfway between its min(res, eta) and the smallest before."""
+    """0, and for the first, the middle, the last and evenly spaced steps
+    between them of those a tolerance can stop at (a strict running minimum
+    of min(res, eta)), a tolerance halfway between its min(res, eta) and
+    the smallest before."""
     ks = ref["ks"][1:]
     m = np.minimum(ref["residual_norms"][1:], ref["eta_ratios"][1:])
     earlier = np.minimum.accumulate(np.concatenate([[np.inf], m[:-1]]))
     reachable = {k: (v + min(e, 2 * v)) / 2 for k, v, e in zip(ks, m, earlier) if v < 0.999 * e}
     tols = {0.0: None}
-    for lo, hi in _block_spans(len(ks) + 2):
-        inside = [k for k in reachable if lo <= k <= hi]
-        for k in {inside[0], inside[len(inside) // 2], inside[-1]} if inside else ():
-            tols[reachable[k]] = k
+    stops = list(reachable)
+    for i in np.linspace(0, len(stops) - 1, 7).round().astype(int) if stops else ():
+        tols[reachable[stops[i]]] = stops[i]
     return tols
 
 
@@ -646,13 +636,13 @@ def _same_path(report, ref, rtol=1e-12):
     seed=st.integers(0, 2**32 - 1),
     shift=st.sampled_from([1e-10, None]),
 )
-def test_block_path_matches_step_loop(n, n3, seed, shift):
+def test_one_pass_path_matches_step_loop(n, n3, seed, shift):
     rng = np.random.default_rng(seed)
     a = Tensor3(rng.standard_normal((n, n, n3)))
     b = Tensor3(rng.standard_normal((n, 1, n3)))
     x = Tensor3(rng.standard_normal((n, 1, n3)))
     state = build_sequence(a, b)
-    assert len(_block_spans(state.count)) >= 3
+    assert state.count == n
     for tol, k in _stop_tolerances(loop_solve_path(state, 0.0, shift, x)).items():
         ref = loop_solve_path(state, tol, shift, x)
         if k is not None:
@@ -691,3 +681,17 @@ def test_singular_theta_after_the_first_block():
     want_path = loop_solve_path(state, tol, shift=None, x_true=x)
     assert want_path["stop_reason"] == "tolerance" and want_path["ks"][-1] <= 12
     _same_path(solve(a, b, tol_eps=tol, shift=None, x_true=x), want_path)
+
+
+def test_singular_theta_at_the_end_of_the_path():
+    # of 30 terms the last step, k = 29, inverts Theta_29, and no step Theta_30
+    a, b = late_singular_problem(constant_from=28)
+    with pytest.raises(SingularFaceError, match="Theta_29 at step k=29"):
+        loop_solve_path(build_sequence(a, b), 0.0, shift=None)
+    with pytest.raises(SingularFaceError, match="Theta_29 at step k=29"):
+        solve(a, b, tol_eps=0.0, shift=None)
+    a, b = late_singular_problem(constant_from=29)
+    x = rand(30, 1, 4)
+    ref = loop_solve_path(build_sequence(a, b), 0.0, shift=None, x_true=x)
+    assert ref["ks"][-1] == 29 and ref["stop_reason"] == "k_max"
+    _same_path(solve(a, b, tol_eps=0.0, shift=None, x_true=x), ref)
