@@ -250,8 +250,10 @@ def cmd_extrapolate(cfg: dict, rng) -> tuple[dict, int]:
     method = cfg["method"]
     if method is None or method not in METHODS + ("ttea",):
         raise UsageError(f"method must be one of {', '.join(METHODS + ('ttea',))}")
-    seq = TensorSequence(list(read_tns4(cfg["input"])))
     n, k = cfg["n"], cfg["k"]
+    if n < 0 or k < 1:
+        raise UsageError(f"extrapolate needs n >= 0 and k >= 1, got n={n}, k={k}")
+    seq = TensorSequence(read_tns4(cfg["input"]))
     report = {
         "command": "extrapolate",
         "input": str(cfg["input"]),

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
+    InvalidParameterError,
     NumericalConsistencyError,
     SingularFaceError,
 )
@@ -37,10 +38,11 @@ from .stack_products import star
 from .tensor_core import (
     Stack4,
     Tensor3,
-    _block_tensor,
     _face_linalg,
     _faces,
+    _stack_layout,
     _unfaces,
+    _wrap,
     frobenius_norm,
     identity_tensor,
 )
@@ -63,45 +65,23 @@ __all__ = [
 METHODS = ("tmpe", "trre", "tmmpe")
 
 
-class TensorSequence:
-    """Ordered sequence of equally sized Tensor3 terms S_0, S_1, ..."""
+class TensorSequence(Stack4):
+    """Ordered non-empty sequence of equally sized Tensor3 terms S_0, S_1, ..."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms):
-        members = tuple(t if isinstance(t, Tensor3) else Tensor3(t) for t in terms)
-        if not members:
+        super().__init__(terms)
+        if not len(self):
             raise InsufficientSequenceError("a sequence needs at least one term")
-        dims = {t.dims for t in members}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"sequence terms differ in dims: {sorted(dims)}")
-        self._terms = members
 
-    @property
-    def terms(self) -> tuple:
-        return self._terms
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self._terms[0].dims
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __getitem__(self, i) -> Tensor3:
-        return self._terms[i]
-
-    def __iter__(self):
-        return iter(self._terms)
+    terms = Stack4.slices
 
     def require(self, count: int, what: str) -> None:
-        if len(self._terms) < count:
+        if len(self) < count:
             raise InsufficientSequenceError(
-                f"{what} needs {count} terms, sequence has {len(self._terms)}"
+                f"{what} needs {count} terms, sequence has {len(self)}"
             )
-
-    def __repr__(self):
-        return f"TensorSequence(len={len(self._terms)}, dims={self.dims})"
 
 
 @dataclass(frozen=True)
@@ -130,9 +110,8 @@ def difference_stacks(seq: TensorSequence, n: int, k: int) -> tuple[Stack4, Stac
     if n < 0 or k < 1:
         raise InsufficientSequenceError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     seq.require(n + k + 2, f"width-{k} extrapolation at n={n}")
-    delta = Stack4(seq[n + j + 1] - seq[n + j] for j in range(k + 1))
-    delta2 = Stack4(delta[j + 1] - delta[j] for j in range(k))
-    return delta, delta2
+    delta = np.diff(seq._data[n : n + k + 2], axis=0)
+    return _wrap(Stack4, delta), _wrap(Stack4, np.diff(delta, axis=0))
 
 
 def default_tmmpe_y(dims: tuple[int, int, int], k: int) -> Stack4:
@@ -145,13 +124,10 @@ def default_tmmpe_y(dims: tuple[int, int, int], k: int) -> Stack4:
     stacked system nondegenerate) whenever ``k * n2 <= n1``.
     """
     n1, n2, n3 = dims
-    out = []
-    for i in range(k):
-        data = np.zeros((n1, n2, n3))
-        for c in range(n2):
-            data[(i * n2 + c) % n1, c, 0] = 1.0
-        out.append(Tensor3(data))
-    return Stack4(out)
+    data = np.zeros((k, n1, n2, n3))
+    i, c = np.divmod(np.arange(k * n2), n2)
+    data[i, (i * n2 + c) % n1, c, 0] = 1.0
+    return _wrap(Stack4, data)
 
 
 def build_y_stack(
@@ -161,27 +137,41 @@ def build_y_stack(
     k: int,
     custom_y: Stack4 | None = None,
 ) -> Stack4:
-    """Test stack Y_1..Y_k for the chosen method (see module docstring)."""
+    """Test stack Y_1..Y_k for the chosen method (see module docstring).
+
+    An unknown ``method``, or TMMPE without ``custom_y``, raises
+    ``InvalidParameterError`` naming that parameter.
+    """
+    return _test_stack(method, seq.dims, k, custom_y, lambda: difference_stacks(seq, n, k))
+
+
+def _test_stack(method: str, dims, k: int, custom_y, differences) -> Stack4:
+    """:func:`build_y_stack` with the window's ``(DS, D2S)`` returned by the
+    call ``differences()``, made only if the method needs them."""
     name = method.lower()
     if name not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        raise InvalidParameterError(
+            "method", f"method must be one of {METHODS}, got {method!r}"
+        )
     if name == "tmmpe":
         if custom_y is None:
-            raise ValueError("TMMPE requires custom_y (or build one with default_tmmpe_y)")
+            raise InvalidParameterError(
+                "custom_y", "TMMPE requires custom_y (or build one with default_tmmpe_y)"
+            )
         if custom_y.count != k:
             raise DimensionMismatchError(
                 f"TMMPE custom_y needs {k} slices, got {custom_y.count}"
             )
-        if custom_y.dims != seq.dims:
+        if custom_y.dims != dims:
             raise DimensionMismatchError(
-                f"TMMPE custom_y dims {custom_y.dims} do not match sequence dims {seq.dims}"
+                f"TMMPE custom_y dims {custom_y.dims} do not match sequence dims {dims}"
             )
         return custom_y
-    delta, delta2 = difference_stacks(seq, n, k)
-    return delta[:k] if name == "tmpe" else delta2[:k]
+    delta, delta2 = differences()
+    return delta[:k] if name == "tmpe" else delta2
 
 
-def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> list[Tensor3]:
+def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> Stack4:
     """Solve the block system sum_j M[i][j] * x_j = R[i] on every DFT face.
 
     ``big`` is the (F, k*q, k*q) stack of half-spectrum faces of the block
@@ -189,7 +179,8 @@ def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> l
     of the stacked right-hand sides.  Every face system must pass the guard
     (largest singular value nonzero, smallest above 1e-14 times the
     largest); the first face that fails raises.  All faces are then solved
-    in one batched call.  Returns the k solution tensors of dims (q, m, n3).
+    in one batched call.  Returns the stack of the k solution tensors of
+    dims (q, m, n3).
     """
     sv = _face_linalg(np.linalg.svd, big, compute_uv=False)
     bad = np.flatnonzero((sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-14 * sv[:, 0]))
@@ -202,9 +193,8 @@ def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> l
             face_index=f,
             cond=cond,
         )
-    solution = _unfaces(_face_linalg(np.linalg.solve, big, rhs), n3).data
-    q = big.shape[1] // k
-    return [Tensor3(solution[j * q : (j + 1) * q]) for j in range(k)]
+    solution = _unfaces(_face_linalg(np.linalg.solve, big, rhs), n3)
+    return _wrap(Stack4, solution.data.reshape(k, -1, *solution.dims[1:]))
 
 
 def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
@@ -233,9 +223,9 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
         raise DimensionMismatchError(
             f"beta system shapes disagree: l {l.dims}, v {v.dims}, rhs {rhs.dims}"
         )
-    lh = _faces(_block_tensor([l])).conj().swapaxes(1, 2)
-    big = lh @ _faces(_block_tensor([v]))
-    return Stack4(_solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3))
+    lh = _faces(_stack_layout(l).data).conj().swapaxes(1, 2)
+    big = lh @ _faces(_stack_layout(v).data)
+    return _solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3)
 
 
 def beta_to_gamma(beta: Stack4) -> Stack4:
@@ -244,7 +234,7 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
     The identity is appended as ``beta_k`` before summing, so the result
     has k+1 slices and sums to the identity.  A singular sum raises
     ``SingularFaceError``.  The k products share the inverse, so they are
-    one T-product of the betas stacked vertically.
+    one T-product of the betas laid on top of each other.
     """
     k = beta.count
     if k == 0:
@@ -252,12 +242,10 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
     q1, q2, n3 = beta.dims
     if q1 != q2:
         raise DimensionMismatchError(f"beta slices must be square, got {beta.dims}")
-    total = identity_tensor(q1, n3)
-    for b in beta:
-        total = total + b
-    inv = tinverse(total)
-    gammas = tprod(Tensor3(_block_tensor([[b] for b in beta])), inv)
-    return Stack4(np.split(gammas.data, k) + [inv])
+    total = np.concatenate([identity_tensor(q1, n3).data[None], beta._data]).sum(axis=0)
+    inv = tinverse(Tensor3(total))
+    gammas = tprod(_stack_layout(beta, on_top=True), inv).data.reshape(k, q1, q1, n3)
+    return _wrap(Stack4, np.concatenate([gammas, inv.data[None]]))
 
 
 def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
@@ -272,11 +260,10 @@ def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
     q1, q2, n3 = gamma.dims
     if q1 != q2:
         raise DimensionMismatchError(f"gamma slices must be square, got {gamma.dims}")
-    eye = identity_tensor(q1, n3)
-    alphas = [eye - gamma[0]]
-    for j in range(1, gamma.count - 1):
-        alphas.append(alphas[-1] - gamma[j])
-    last = gamma[gamma.count - 1]
+    # alpha_j = I - gamma_0 - ... - gamma_j, subtracted in that order
+    terms = np.concatenate([identity_tensor(q1, n3).data[None], -gamma._data[:-1]])
+    alphas = _wrap(Stack4, np.cumsum(terms, axis=0)[1:])
+    last = gamma[-1]
     scale = max(1.0, frobenius_norm(last))
     drift = frobenius_norm(alphas[-1] - last)
     if drift > tol * scale:
@@ -284,23 +271,20 @@ def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
             f"alpha/gamma consistency failed: |alpha_last - gamma_last| = {drift:.3e} "
             f"(tolerance {tol * scale:.3e}); upstream sum(gamma) != identity"
         )
-    return Stack4(alphas)
+    return alphas
 
 
 def _degenerate_result(seq: TensorSequence, n: int, k: int) -> ExtrapolationResult:
     # fully converged sequence: all differences vanish, T_k = S_n exactly
-    q = seq.dims[1]
-    n3 = seq.dims[2]
-    eye = identity_tensor(q, n3)
-    zero = Tensor3(np.zeros((q, q, n3)))
-    beta = Stack4([zero] * k)
-    gamma = Stack4([zero] * k + [eye])
-    alpha = Stack4([eye] * k)
+    _, q, n3 = seq.dims
+    eye = identity_tensor(q, n3).data
+    gamma = np.zeros((k + 1, q, q, n3))
+    gamma[k] = eye
     return ExtrapolationResult(
         t_k=seq[n],
-        gamma=gamma,
-        beta=beta,
-        alpha=alpha,
+        gamma=_wrap(Stack4, gamma),
+        beta=_wrap(Stack4, gamma[:k]),
+        alpha=_wrap(Stack4, np.broadcast_to(eye, (k, q, q, n3))),
         residual=Tensor3(np.zeros(seq.dims)),
     )
 
@@ -323,11 +307,11 @@ def extrapolate(
     A fully converged window (all differences zero) short-circuits to
     ``T_k = S_n``; an identically zero test stack is rejected as degenerate.
     """
-    delta, _ = difference_stacks(seq, n, k)
-    if all(frobenius_norm(d) == 0.0 for d in delta):
+    delta, delta2 = difference_stacks(seq, n, k)
+    if np.linalg.norm(delta._data) == 0.0:
         return _degenerate_result(seq, n, k)
-    l = build_y_stack(method, seq, n, k, custom_y)
-    if all(frobenius_norm(y) == 0.0 for y in l):
+    l = _test_stack(method, seq.dims, k, custom_y, lambda: (delta, delta2))
+    if np.linalg.norm(l._data) == 0.0:
         raise SingularFaceError(
             f"degenerate {method.upper()} system: test stack is identically zero"
         )
@@ -357,16 +341,17 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
         )
     _, n2, n3 = seq.dims
     delta, delta2 = difference_stacks(seq, n, 2 * k - 1)
-    if all(frobenius_norm(d) == 0.0 for d in delta):
+    if np.linalg.norm(delta._data) == 0.0:
         # converged window: E_k = S_n with vanishing coefficients
-        zero = Tensor3(np.zeros((n2, n2, n3)))
-        return seq[n], Stack4([zero] * k)
+        return seq[n], _wrap(Stack4, np.zeros((k, n2, n2, n3)))
     yh = _faces(y.data).conj().swapaxes(1, 2)
     # face blocks y^H D2S_m for every m side by side; block row j is the
     # window m = j .. j+k-1, so the rows are Hankel
-    moments = yh @ _faces(_block_tensor([delta2]))
+    moments = yh @ _faces(_stack_layout(delta2).data)
     big = np.concatenate([moments[:, :, j * n2 : (j + k) * n2] for j in range(k)], axis=1)
-    first = -(yh @ _faces(_block_tensor([delta[:k]])))
-    rhs = np.concatenate([first[:, :, j * n2 : (j + 1) * n2] for j in range(k)], axis=1)
-    betas = Stack4(_solve_stacked_faces(big, rhs, k, n3))
+    # block row j of the right-hand side is -y^H DS_j
+    first = -(yh @ _faces(_stack_layout(delta[:k]).data))
+    f, p = first.shape[:2]
+    rhs = first.reshape(f, p, k, n2).transpose(0, 2, 1, 3).reshape(f, k * p, n2)
+    betas = _solve_stacked_faces(big, rhs, k, n3)
     return seq[n] + star(delta[:k], betas), betas

@@ -1,15 +1,16 @@
 """Products on 4- and 5-mode stacks: diamond, star, bar-star, adjoint.
 
-A Stack4 is an ordered list of Tensor3 slices; a Stack5 is a grid of
-Tensor3 blocks addressed as ``block(i, j)`` = (mode-4 index i, mode-5
-index j).  The diamond product of an l-stack with a k-stack is the k x l
-grid with ``block(j, i) = ttranspose(a[i]) * b[j]``; star contracts a grid
-against a stack along mode 4; bar-star contracts two equal grids along
-mode 5.  All three reduce to familiar matrix constructions when every
-block is 1 x 1 x 1.  Each contraction (star, bar-star) is one T-product
-of concatenated operands: the blocks are laid out as one block tensor,
-whose faces the T-product multiplies in a single batched matmul, and the
-result is sliced back into blocks.
+A Stack4 holds its slices as one ``(count, n1, n2, n3)`` array; a Stack5
+holds a grid of blocks addressed as ``block(i, j)`` = (mode-4 index i,
+mode-5 index j) as one ``(k, l, n1, n2, n3)`` array.  The diamond product
+of an l-stack with a k-stack is the k x l grid with
+``block(j, i) = ttranspose(a[i]) * b[j]``; star contracts a grid against a
+stack along mode 4; bar-star contracts two equal grids along mode 5.  All
+three reduce to familiar matrix constructions when every block is
+1 x 1 x 1.  Each contraction (star, bar-star) is one T-product: the
+operands are laid out as block tensors by a transpose and reshape of their
+arrays, the T-product multiplies all faces in a single batched matmul, and
+a reshape of the result gives its blocks.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
-    _block_tensor,
     _face_linalg,
     _faces,
+    _grid_layout,
+    _stack_layout,
     _unfaces,
-    frobenius_norm,
-    identity_tensor,
+    _wrap,
 )
 from .tproduct_algebra import tprod, ttranspose
 
@@ -38,6 +39,14 @@ __all__ = [
     "verify_left_inverse",
     "left_inverse",
 ]
+
+
+def _grid_of(t: Tensor3, k: int, ell: int, transpose: bool = False) -> Stack5:
+    """The k x l grid whose ``_grid_layout`` (with ``transpose``) is ``t``."""
+    rows, cols = (ell, k) if transpose else (k, ell)
+    n1, n2, n3 = t.dims
+    blocks = t.data.reshape(rows, n1 // rows, cols, n2 // cols, n3)
+    return _wrap(Stack5, blocks.transpose((2, 0, 1, 3, 4) if transpose else (0, 2, 1, 3, 4)))
 
 
 def diamond(a: Stack4, b):
@@ -78,18 +87,16 @@ def star(a, b: Stack4):
             raise DimensionMismatchError(
                 f"star stack counts disagree: {a.count} vs {b.count}"
             )
-        left = _block_tensor([a])
-    elif isinstance(a, Stack5):
-        k, ell = a.grid_shape
-        if k != b.count:
-            raise DimensionMismatchError(
-                f"star requires mode-4 extent {k} to match slice count {b.count}"
-            )
-        left = _block_tensor([[a.block(j, i) for j in range(k)] for i in range(ell)])
-    else:
+        return tprod(_stack_layout(a), _stack_layout(b, on_top=True))
+    if not isinstance(a, Stack5):
         raise DimensionMismatchError("star left operand must be a Stack4 or Stack5")
-    out = tprod(Tensor3(left), Tensor3(_block_tensor([[t] for t in b])))
-    return out if isinstance(a, Stack4) else Stack4(np.split(out.data, ell))
+    k, ell = a.grid_shape
+    if k != b.count:
+        raise DimensionMismatchError(
+            f"star requires mode-4 extent {k} to match slice count {b.count}"
+        )
+    out = tprod(_grid_layout(a, transpose=True), _stack_layout(b, on_top=True))
+    return _wrap(Stack4, out.data.reshape(ell, -1, *out.dims[1:]))
 
 
 def bar_star(a: Stack5, b: Stack5) -> Stack5:
@@ -102,12 +109,10 @@ def bar_star(a: Stack5, b: Stack5) -> Stack5:
         raise DimensionMismatchError(
             f"bar-star grid shapes disagree: {a.grid_shape} vs {b.grid_shape}"
         )
-    k, ell = a.grid_shape
-    left = _block_tensor(a.blocks)
-    right = _block_tensor([[b.block(tau, j) for tau in range(k)] for j in range(ell)])
-    prod = tprod(Tensor3(left), Tensor3(right)).data
+    k, _ = a.grid_shape
+    prod = tprod(_grid_layout(a), _grid_layout(b, transpose=True))
     # block (eta, tau) of the product is block (tau, eta) of the result
-    return Stack5(zip(*(np.split(row, k, axis=1) for row in np.split(prod, k))))
+    return _grid_of(prod, k, k, transpose=True)
 
 
 def adjoint_swap(a: Stack5) -> Stack5:
@@ -115,7 +120,7 @@ def adjoint_swap(a: Stack5) -> Stack5:
     k, ell = a.grid_shape
     if k != ell:
         raise DimensionMismatchError(f"adjoint requires a square grid, got {k} x {ell}")
-    return Stack5(tuple(a.block(j, i) for j in range(k)) for i in range(k))
+    return _wrap(Stack5, a._data.swapaxes(0, 1))
 
 
 def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
@@ -129,12 +134,9 @@ def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
         raise DimensionMismatchError(
             f"left-inverse product blocks must be square, got {prod.block_dims}"
         )
-    eye, zero = identity_tensor(n, n3), Tensor3.zeros(n, n, n3)
-    return all(
-        frobenius_norm(prod.block(tau, eta) - (eye if tau == eta else zero)) <= tol
-        for tau in range(k)
-        for eta in range(k)
-    )
+    residual = prod._data.copy()
+    residual[range(k), range(k), :, :, 0] -= np.eye(n)
+    return bool(np.sqrt((residual**2).sum(axis=(2, 3, 4))).max() <= tol)
 
 
 def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
@@ -156,7 +158,7 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
         raise DimensionMismatchError(
             f"no left inverse: stacked face system is {ell * n1} x {k * n2} (underdetermined)"
         )
-    stacked = _faces(_block_tensor([[b.block(tau, j) for tau in range(k)] for j in range(ell)]))
+    stacked = _faces(_grid_layout(b, transpose=True).data)
     pinv = _face_linalg(np.linalg.pinv, stacked)
     residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
     bad = np.flatnonzero(residual > tol)
@@ -167,4 +169,4 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
             f"(left-identity residual {residual[f]:.3e})",
             face_index=f,
         )
-    return Stack5(np.split(row, ell, axis=1) for row in np.split(_unfaces(pinv, n3).data, k))
+    return _grid_of(_unfaces(pinv, n3), k, ell)

@@ -21,6 +21,12 @@ the half spectrum determines the tensor, and the inverse transform is real
 by construction.  No face format is exported; the full spectrum of a
 tensor ``t`` is ``np.fft.fft(t.data, axis=2)``.
 
+A Stack4 (4-mode tensor) holds its members as one read-only
+``(count, n1, n2, n3)`` array and a Stack5 (5-mode tensor) its blocks as
+one read-only ``(k, l, n1, n2, n3)`` array; members and blocks are
+Tensor3 views of it, made on access.  Stack contractions lay the members
+out as one block tensor by a transpose and reshape of that array.
+
 All slice and face indices in this package are 0-based.
 """
 
@@ -186,126 +192,145 @@ class TubalScalar(Tensor3):
         return self._data[0, 0, :]
 
 
-class Stack4:
-    """An ordered stack of equally sized Tensor3 frontal slices (a 4-mode tensor)."""
+def _wrap(cls, arr: np.ndarray):
+    """An instance of ``cls`` (Tensor3 or a stack class) holding ``arr``
+    itself, frozen: the no-copy constructor, for arrays the library has just
+    built and holds no writable reference to."""
+    obj = object.__new__(cls)
+    arr.setflags(write=False)
+    obj._data = arr
+    return obj
 
-    __slots__ = ("_slices",)
+
+class _ArrayStack:
+    """Storage shared by Stack4 and Stack5: one read-only array whose
+    trailing three axes are the member dims, copied from the input."""
+
+    __slots__ = ("_data",)
+
+    def _store(self, members, what: str, grid=()):
+        arrays = [m.data if isinstance(m, Tensor3) else Tensor3(m).data for m in members]
+        dims = {a.shape for a in arrays}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"{what} differ in dims: {sorted(dims)}")
+        data = np.stack(arrays).reshape(*grid, -1, *dims.pop()) if arrays else np.empty((0,) * 4)
+        data.setflags(write=False)
+        self._data = data
+
+    def _combine(self, other, op):
+        cls = Stack5 if isinstance(self, Stack5) else Stack4
+        if not isinstance(other, cls):
+            return NotImplemented
+        if other._data.shape != self._data.shape:
+            raise DimensionMismatchError(f"{op.__name__} needs equal shapes: {self} vs {other}")
+        return _wrap(cls, op(self._data, other._data))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+
+class Stack4(_ArrayStack):
+    """An ordered stack of equally sized Tensor3 slices (a 4-mode tensor).
+
+    The stack holds one read-only ``(count, n1, n2, n3)`` array, copied from
+    the input; members are read-only Tensor3 views of it, made on access.
+    """
+
+    __slots__ = ()
 
     def __init__(self, slices: Iterable):
-        members = tuple(s if isinstance(s, Tensor3) else Tensor3(s) for s in slices)
-        dims = {m.dims for m in members}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"Stack4 members differ in dims: {sorted(dims)}")
-        self._slices = members
+        self._store(slices, "Stack4 members")
 
     @property
     def slices(self) -> tuple:
-        return self._slices
+        return tuple(self)
 
     @property
     def count(self) -> int:
-        return len(self._slices)
+        return len(self._data)
 
     @property
     def dims(self):
         """Dims shared by every member, or None for an empty stack."""
-        return self._slices[0].dims if self._slices else None
+        return self._data.shape[1:] if len(self._data) else None
 
     def __len__(self):
-        return len(self._slices)
+        return len(self._data)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return Stack4(self._slices[key])
-        return self._slices[key]
+            return _wrap(Stack4, self._data[key])
+        return _wrap(Tensor3, self._data[key])
 
     def __iter__(self):
-        return iter(self._slices)
-
-    def __add__(self, other):
-        if not isinstance(other, Stack4):
-            return NotImplemented
-        if other.count != self.count:
-            raise DimensionMismatchError("Stack4 addition requires equal counts")
-        return Stack4(a + b for a, b in zip(self._slices, other._slices))
-
-    def __sub__(self, other):
-        if not isinstance(other, Stack4):
-            return NotImplemented
-        if other.count != self.count:
-            raise DimensionMismatchError("Stack4 subtraction requires equal counts")
-        return Stack4(a - b for a, b in zip(self._slices, other._slices))
+        return (_wrap(Tensor3, member) for member in self._data)
 
     def __repr__(self):
-        return f"Stack4(count={self.count}, dims={self.dims})"
+        return f"{type(self).__name__}(count={self.count}, dims={self.dims})"
 
 
-class Stack5:
+class Stack5(_ArrayStack):
     """A fully populated grid of equally sized Tensor3 blocks (a 5-mode tensor).
 
     ``block(i, j)`` addresses mode-4 index ``i`` and mode-5 index ``j``,
-    both 0-based.  ``grid_shape`` is ``(mode-4 extent, mode-5 extent)``.
+    both 0-based.  ``grid_shape`` is ``(mode-4 extent, mode-5 extent)``.  The
+    grid holds one read-only ``(k, l, n1, n2, n3)`` array, copied from the
+    input; blocks are read-only Tensor3 views of it, made on access.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ()
 
     def __init__(self, blocks: Iterable):
-        rows = tuple(
-            tuple(b if isinstance(b, Tensor3) else Tensor3(b) for b in row)
-            for row in blocks
-        )
+        rows = [list(row) for row in blocks]
         if not rows or not rows[0]:
             raise DimensionMismatchError("Stack5 requires a non-empty grid")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise DimensionMismatchError("Stack5 grid rows differ in length")
-        dims = {b.dims for row in rows for b in row}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"Stack5 blocks differ in dims: {sorted(dims)}")
-        self._blocks = rows
+        self._store([b for row in rows for b in row], "Stack5 blocks", (len(rows),))
 
     @property
     def blocks(self) -> tuple:
-        return self._blocks
+        return tuple(tuple(_wrap(Tensor3, b) for b in row) for row in self._data)
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return (len(self._blocks), len(self._blocks[0]))
+        return self._data.shape[:2]
 
     @property
     def block_dims(self) -> tuple[int, int, int]:
-        return self._blocks[0][0].dims
+        return self._data.shape[2:]
 
     def block(self, i: int, j: int) -> Tensor3:
-        return self._blocks[i][j]
+        return _wrap(Tensor3, self._data[i, j])
 
     def __getitem__(self, key):
-        i, j = key
-        return self._blocks[i][j]
-
-    def __add__(self, other):
-        if not isinstance(other, Stack5):
-            return NotImplemented
-        if other.grid_shape != self.grid_shape:
-            raise DimensionMismatchError("Stack5 addition requires equal grid shapes")
-        return Stack5(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._blocks, other._blocks)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Stack5):
-            return NotImplemented
-        if other.grid_shape != self.grid_shape:
-            raise DimensionMismatchError("Stack5 subtraction requires equal grid shapes")
-        return Stack5(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._blocks, other._blocks)
-        )
+        return self.block(*key)
 
     def __repr__(self):
         k, ell = self.grid_shape
         return f"Stack5(grid={k}x{ell}, block_dims={self.block_dims})"
+
+
+def _stack_layout(stack: Stack4, on_top: bool = False) -> Tensor3:
+    """The members of a non-empty stack laid out as one block tensor: side
+    by side along mode 2, or on top of each other along mode 1."""
+    count, n1, n2, n3 = stack._data.shape
+    if on_top:
+        return _wrap(Tensor3, stack._data.reshape(count * n1, n2, n3))
+    return _wrap(Tensor3, stack._data.transpose(1, 0, 2, 3).reshape(n1, count * n2, n3))
+
+
+def _grid_layout(grid: Stack5, transpose: bool = False) -> Tensor3:
+    """The blocks of a grid laid out as one block tensor: block ``(i, j)``
+    at block row ``i`` and block column ``j``, or with ``transpose`` at
+    block row ``j`` and block column ``i``."""
+    rows, cols = (1, 0) if transpose else (0, 1)
+    shape = grid._data.shape
+    arr = grid._data.transpose(rows, 2, cols, 3, 4)
+    return _wrap(Tensor3, arr.reshape(shape[rows] * shape[2], shape[cols] * shape[3], shape[4]))
 
 
 def identity_tensor(n: int, n3: int) -> Tensor3:
@@ -380,12 +405,6 @@ def _unfaces(faces: np.ndarray, n3: int) -> Tensor3:
     return Tensor3(np.moveaxis(np.fft.irfft(faces, n=n3, axis=0), 0, 2))
 
 
-def _block_tensor(rows) -> np.ndarray:
-    """The array holding a grid of Tensor3 blocks, given as block rows of
-    block columns: rows are stacked along mode 1, columns along mode 2."""
-    return np.concatenate([np.concatenate([t.data for t in row], axis=1) for row in rows])
-
-
 def _require_finite(t: Tensor3, name: str) -> None:
     """Refuse a tensor with a NaN or infinite entry: such an entry reaches
     every DFT face, so the error names face 0."""
@@ -449,21 +468,12 @@ def _check_dims(n1: int, n2: int, n3: int) -> None:
         )
 
 
-def _payload_bytes(t: Tensor3) -> bytes:
-    return np.ravel(t.data, order="F").astype("<f8", copy=False).tobytes()
-
-
-def _payload_to_data(buf: bytes, dims: tuple[int, int, int]) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f8").astype(np.float64)
-    return flat.reshape(dims, order="F")
-
-
 def write_tns3(t: Tensor3, path) -> None:
     """Serialize a Tensor3 to the TNS3 binary format."""
     n1, n2, n3 = t.dims
     with open(path, "wb") as fh:
         fh.write(_HEADER3.pack(_TNS3_MAGIC, _FORMAT_VERSION, n1, n2, n3))
-        fh.write(_payload_bytes(t))
+        fh.write(np.ravel(t.data, order="F").astype("<f8", copy=False).tobytes())
 
 
 def read_tns3(path) -> Tensor3:
@@ -494,7 +504,8 @@ def read_tns3(path) -> Tensor3:
         )
     if len(raw) > expected:
         raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
-    return Tensor3(_payload_to_data(raw[_HEADER3.size :], (n1, n2, n3)))
+    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER3.size)
+    return Tensor3(flat.reshape((n1, n2, n3), order="F"))
 
 
 def write_tns4(stack: Stack4, path) -> None:
@@ -504,8 +515,8 @@ def write_tns4(stack: Stack4, path) -> None:
     n1, n2, n3 = stack.dims
     with open(path, "wb") as fh:
         fh.write(_HEADER4.pack(_TNS4_MAGIC, _FORMAT_VERSION, stack.count, n1, n2, n3))
-        for member in stack:
-            fh.write(_payload_bytes(member))
+        # each member in storage order (i1 fastest), members in stack order
+        fh.write(stack._data.transpose(0, 3, 2, 1).astype("<f8", copy=False).tobytes())
 
 
 def read_tns4(path) -> Stack4:
@@ -528,16 +539,12 @@ def read_tns4(path) -> Stack4:
         raise DimensionOverflowError(
             f"total size {count} x ({n1}, {n2}, {n3}) is outside the supported range"
         )
-    block = 8 * n1 * n2 * n3
-    expected = _HEADER4.size + count * block
+    expected = _HEADER4.size + 8 * count * n1 * n2 * n3
     if len(raw) < expected:
         raise TruncatedPayloadError(
             f"payload needs {expected} bytes total, file holds {len(raw)}"
         )
     if len(raw) > expected:
         raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
-    members = []
-    for i in range(count):
-        start = _HEADER4.size + i * block
-        members.append(Tensor3(_payload_to_data(raw[start : start + block], (n1, n2, n3))))
-    return Stack4(members)
+    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER4.size).astype(np.float64)
+    return _wrap(Stack4, flat.reshape(count, n3, n2, n1).transpose(0, 3, 2, 1))

@@ -383,8 +383,23 @@ def test_extrapolate_ttea_refuses_a_negative_start(tmp_path, capsys):
          "--y", y_path, "--output", out],
         capsys,
     )
-    assert code == 1 and report is None
-    assert err.startswith("error:") and "n >= 0" in err
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "n >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["tmpe", "ttea"])
+@pytest.mark.parametrize("flags", [["--k", 0], ["--n", -1]])
+def test_extrapolate_bad_window_is_usage_error_before_reading(tmp_path, capsys, method, flags):
+    # the input does not exist, so reading it first would exit 1
+    out = tmp_path / "e.tns3"
+    code, report, err = run_cli(
+        ["extrapolate", "-i", tmp_path / "missing.tns4", "--method", method, *flags,
+         "--y", tmp_path / "missing.tns3", "--output", out],
+        capsys,
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "n >= 0 and k >= 1" in err
     assert not out.exists()
 
 

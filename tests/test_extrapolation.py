@@ -6,6 +6,7 @@ from textrap import (
     METHODS,
     DimensionMismatchError,
     InsufficientSequenceError,
+    InvalidParameterError,
     NumericalConsistencyError,
     SingularFaceError,
     Stack4,
@@ -118,12 +119,17 @@ def test_build_y_stack_selects_method():
     custom = Stack4([rand(3, 2, 2) for _ in range(2)])
     got = build_y_stack("tmmpe", seq, 0, 2, custom_y=custom)
     assert got is custom
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError) as missing:
         build_y_stack("tmmpe", seq, 0, 2)
+    assert missing.value.parameter == "custom_y"
     with pytest.raises(DimensionMismatchError):
         build_y_stack("tmmpe", seq, 0, 2, custom_y=Stack4([rand(3, 2, 2)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError) as unknown:
         build_y_stack("shanks", seq, 0, 2)
+    assert unknown.value.parameter == "method"
+    with pytest.raises(InvalidParameterError) as unknown:
+        extrapolate(seq, 0, 1, "foo")
+    assert unknown.value.parameter == "method"
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +304,20 @@ def test_gamma_to_alpha_rejects_drift():
         gamma_to_alpha(Stack4([eye]))
     with pytest.raises(DimensionMismatchError):
         gamma_to_alpha(Stack4([rand(2, 3, 2), rand(2, 3, 2)]))
+
+
+@pytest.mark.parametrize("method", ["tmpe", "trre"])
+def test_extrapolate_forms_the_differences_once(monkeypatch, method):
+    import textrap.extrapolation as engine
+
+    calls = []
+    original = engine.difference_stacks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "difference_stacks", counted)
+    seq = TensorSequence([rand(3, 1, 2) for _ in range(5)])
+    engine.extrapolate(seq, 0, 2, method)
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,38 @@ def test_tns4_rejects_corrupt_count(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(TensorFileError):
         read_tns4(path)
+
+
+def test_tns4_bytes_are_the_header_then_each_members_tns3_payload(tmp_path):
+    stack = Stack4([rand(3, 2, 4) for _ in range(3)])
+    write_tns4(stack, tmp_path / "s.tns4")
+    payloads = []
+    for i, member in enumerate(stack):
+        write_tns3(member, tmp_path / f"m{i}.tns3")
+        payloads.append((tmp_path / f"m{i}.tns3").read_bytes()[32:])
+    header = struct.pack("<4sIQQQQ", b"TNS4", 1, 3, 3, 2, 4)
+    assert (tmp_path / "s.tns4").read_bytes() == header + b"".join(payloads)
+
+
+# ---------------------------------------------------------------------------
+# stack storage
+
+
+def test_stacks_copy_their_input():
+    arrays = [RNG.standard_normal((2, 3, 2)) for _ in range(2)]
+    stack, grid = Stack4(arrays), Stack5([arrays, arrays])
+    kept = arrays[1].copy()
+    arrays[1][0, 0, 0] += 1.0
+    np.testing.assert_array_equal(stack[1].data, kept)
+    np.testing.assert_array_equal(grid.block(1, 1).data, kept)
+
+
+def test_stack_members_and_blocks_are_read_only():
+    stack = Stack4([rand(2, 3, 2) for _ in range(3)])
+    grid = Stack5([[rand(2, 2, 2) for _ in range(2)] for _ in range(3)])
+    views = [stack[0].data, stack[1:][0].data, next(iter(stack)).data, grid.block(2, 1).data]
+    views += [grid.blocks[0][1].data, (stack + stack)[2].data, (grid - grid)[1, 0].data]
+    for view in views:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 1.0
