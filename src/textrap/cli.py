@@ -38,6 +38,7 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
+    _wrap,
     bcirc,
     fold,
     frobenius_norm,
@@ -253,7 +254,7 @@ def cmd_extrapolate(cfg: dict, rng) -> tuple[dict, int]:
     n, k = cfg["n"], cfg["k"]
     if n < 0 or k < 1:
         raise UsageError(f"extrapolate needs n >= 0 and k >= 1, got n={n}, k={k}")
-    seq = TensorSequence(read_tns4(cfg["input"]))
+    seq = _wrap(TensorSequence, read_tns4(cfg["input"])._data)  # no copy; never empty
     report = {
         "command": "extrapolate",
         "input": str(cfg["input"]),

@@ -40,6 +40,7 @@ from .tensor_core import (
     Tensor3,
     _face_linalg,
     _faces,
+    _require_int,
     _stack_layout,
     _unfaces,
     _wrap,
@@ -121,8 +122,12 @@ def default_tmmpe_y(dims: tuple[int, int, int], k: int) -> Stack4:
     are canonical basis vectors starting at row ``i * n2``, echoing the
     lateral canonical tensors used to extract entries of a product.  The
     stride keeps all ``k * n2`` projection directions distinct (hence the
-    stacked system nondegenerate) whenever ``k * n2 <= n1``.
+    stacked system nondegenerate) whenever ``k * n2 <= n1``.  A ``k`` that
+    is not an integer of at least 1 raises ``InvalidParameterError``.
     """
+    _require_int(k, "k")
+    if k < 1:
+        raise InvalidParameterError("k", f"k must be >= 1, got {k}")
     n1, n2, n3 = dims
     data = np.zeros((k, n1, n2, n3))
     i, c = np.divmod(np.arange(k * n2), n2)
@@ -253,7 +258,7 @@ def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
 
     ``alpha_0 = I - gamma_0`` and ``alpha_j = alpha_{j-1} - gamma_j``;
     the final ``alpha_{k-1}`` must coincide with ``gamma_k`` (equivalently
-    ``sum gamma = I``), checked at relative tolerance ``tol``.
+    ``sum gamma = I``), checked at relative tolerance ``tol``; NaN fails it.
     """
     if gamma.count < 2:
         raise DimensionMismatchError("gamma_to_alpha needs at least two gamma slices")
@@ -266,7 +271,7 @@ def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
     last = gamma[-1]
     scale = max(1.0, frobenius_norm(last))
     drift = frobenius_norm(alphas[-1] - last)
-    if drift > tol * scale:
+    if not drift <= tol * scale:  # written so that NaN fails the check
         raise NumericalConsistencyError(
             f"alpha/gamma consistency failed: |alpha_last - gamma_last| = {drift:.3e} "
             f"(tolerance {tol * scale:.3e}); upstream sum(gamma) != identity"

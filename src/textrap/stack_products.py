@@ -22,7 +22,6 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
-    _face_linalg,
     _faces,
     _grid_layout,
     _stack_layout,
@@ -30,6 +29,7 @@ from .tensor_core import (
     _wrap,
 )
 from .tproduct_algebra import tprod, ttranspose
+from .tsvd import _face_pinv, _face_svd
 
 __all__ = [
     "diamond",
@@ -146,9 +146,10 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
     block row ``j`` and block column ``tau`` is ``b.block(tau, j)``; a left
     inverse exists iff every DFT face of it has full column rank, in which
     case the face pseudoinverses supply the blocks of the result.  All
-    faces of the real-FFT half spectrum are pseudo-inverted in one batched
-    call, and a face counts as rank-deficient when its left-identity
-    residual ``|pinv @ face - I|`` exceeds ``tol``.  Existence is
+    faces of the real-FFT half spectrum are pseudo-inverted at once, from
+    one batched SVD with the ``PINV_RCOND`` cutoff of :mod:`textrap.tsvd`,
+    and a face counts as rank-deficient when its left-identity residual
+    ``|pinv @ face - I|`` exceeds ``tol``.  Existence is
     input-dependent: the first rank-deficient face raises
     ``SingularFaceError``.
     """
@@ -159,7 +160,7 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
             f"no left inverse: stacked face system is {ell * n1} x {k * n2} (underdetermined)"
         )
     stacked = _faces(_grid_layout(b, transpose=True).data)
-    pinv = _face_linalg(np.linalg.pinv, stacked)
+    pinv = _face_pinv(*_face_svd(stacked))
     residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
     bad = np.flatnonzero(residual > tol)
     if bad.size:

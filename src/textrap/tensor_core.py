@@ -32,6 +32,7 @@ All slice and face indices in this package are 0-based.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterable, Sequence
 
@@ -42,6 +43,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionOverflowError,
     FaceSvdError,
+    InvalidParameterError,
     OracleCapError,
     TensorFileError,
     TruncatedPayloadError,
@@ -412,6 +414,12 @@ def _require_finite(t: Tensor3, name: str) -> None:
         raise FaceSvdError(f"{name} has non-finite entries", face_index=0)
 
 
+def _require_int(value, name: str) -> None:
+    """Refuse a count parameter that is not an integer (a float, str or bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(name, f"{name} must be an integer, got {value!r}")
+
+
 def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
     """Per-face rows for all ``n3`` faces from the half-spectrum rows ``half``
     of a real tensor (face ``n3 - f`` shares the spectrum of face ``f``)."""
@@ -461,19 +469,49 @@ _HEADER4 = struct.Struct("<4sIQQQQ")
 _MAX_ELEMENTS = 2**48  # refuse absurd allocations from corrupt headers
 
 
-def _check_dims(n1: int, n2: int, n3: int) -> None:
-    if min(n1, n2, n3) < 1 or n1 * n2 * n3 > _MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"header dimensions ({n1}, {n2}, {n3}) are outside the supported range"
-        )
-
-
 def write_tns3(t: Tensor3, path) -> None:
     """Serialize a Tensor3 to the TNS3 binary format."""
     n1, n2, n3 = t.dims
     with open(path, "wb") as fh:
         fh.write(_HEADER3.pack(_TNS3_MAGIC, _FORMAT_VERSION, n1, n2, n3))
         fh.write(np.ravel(t.data, order="F").astype("<f8", copy=False).tobytes())
+
+
+def _read_tns(path, magic: bytes, header: struct.Struct) -> tuple[list, np.ndarray]:
+    """The header sizes after the version (``n1, n2, n3`` for TNS3,
+    ``count, n1, n2, n3`` for TNS4) and the read-only binary64 payload of a
+    TNS3 or TNS4 file, after every check both formats share."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise BadMagicError(f"expected magic {magic!r}, got {raw[:4]!r}")
+    if len(raw) < header.size:
+        raise TruncatedPayloadError(
+            f"file holds {len(raw)} bytes, shorter than the {header.size}-byte header"
+        )
+    _, version, *sizes = header.unpack_from(raw)
+    if version != _FORMAT_VERSION:
+        raise UnsupportedVersionError(f"unsupported {magic.decode()} version {version}")
+    *count, n1, n2, n3 = sizes
+    if count and not 1 <= count[0] <= _MAX_ELEMENTS:
+        raise DimensionOverflowError(f"slice count {count[0]} is outside the supported range")
+    if min(n1, n2, n3) < 1 or n1 * n2 * n3 > _MAX_ELEMENTS:
+        raise DimensionOverflowError(
+            f"header dimensions ({n1}, {n2}, {n3}) are outside the supported range"
+        )
+    total = math.prod(sizes)
+    if total > _MAX_ELEMENTS:
+        raise DimensionOverflowError(
+            f"total size {count[0]} x ({n1}, {n2}, {n3}) is outside the supported range"
+        )
+    expected = header.size + 8 * total
+    if len(raw) < expected:
+        raise TruncatedPayloadError(
+            f"payload needs {expected} bytes total, file holds {len(raw)}"
+        )
+    if len(raw) > expected:
+        raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
+    return sizes, np.frombuffer(raw, dtype="<f8", offset=header.size)
 
 
 def read_tns3(path) -> Tensor3:
@@ -485,27 +523,8 @@ def read_tns3(path) -> Tensor3:
     TruncatedPayloadError
         Distinct errors for the distinct ways a file can be malformed.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _TNS3_MAGIC:
-        raise BadMagicError(f"expected magic {_TNS3_MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < _HEADER3.size:
-        raise TruncatedPayloadError(
-            f"file holds {len(raw)} bytes, shorter than the {_HEADER3.size}-byte header"
-        )
-    _, version, n1, n2, n3 = _HEADER3.unpack_from(raw)
-    if version != _FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported TNS3 version {version}")
-    _check_dims(n1, n2, n3)
-    expected = _HEADER3.size + 8 * n1 * n2 * n3
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"payload needs {expected} bytes total, file holds {len(raw)}"
-        )
-    if len(raw) > expected:
-        raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER3.size)
-    return Tensor3(flat.reshape((n1, n2, n3), order="F"))
+    dims, flat = _read_tns(path, _TNS3_MAGIC, _HEADER3)
+    return Tensor3(flat.reshape(dims, order="F"))
 
 
 def write_tns4(stack: Stack4, path) -> None:
@@ -521,30 +540,5 @@ def write_tns4(stack: Stack4, path) -> None:
 
 def read_tns4(path) -> Stack4:
     """Read a Stack4 from a TNS4 file.  Error taxonomy matches read_tns3."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _TNS4_MAGIC:
-        raise BadMagicError(f"expected magic {_TNS4_MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < _HEADER4.size:
-        raise TruncatedPayloadError(
-            f"file holds {len(raw)} bytes, shorter than the {_HEADER4.size}-byte header"
-        )
-    _, version, count, n1, n2, n3 = _HEADER4.unpack_from(raw)
-    if version != _FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported TNS4 version {version}")
-    if count < 1 or count > _MAX_ELEMENTS:
-        raise DimensionOverflowError(f"slice count {count} is outside the supported range")
-    _check_dims(n1, n2, n3)
-    if count * n1 * n2 * n3 > _MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"total size {count} x ({n1}, {n2}, {n3}) is outside the supported range"
-        )
-    expected = _HEADER4.size + 8 * count * n1 * n2 * n3
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"payload needs {expected} bytes total, file holds {len(raw)}"
-        )
-    if len(raw) > expected:
-        raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER4.size).astype(np.float64)
-    return _wrap(Stack4, flat.reshape(count, n3, n2, n1).transpose(0, 3, 2, 1))
+    (count, n1, n2, n3), flat = _read_tns(path, _TNS4_MAGIC, _HEADER4)
+    return _wrap(Stack4, flat.astype(np.float64).reshape(count, n3, n2, n1).transpose(0, 3, 2, 1))

@@ -9,6 +9,9 @@ batched ``np.linalg`` call.  This is equivalent to the block-circulant definitio
 ``fold(bcirc(x) @ matvec(y))`` but costs ``O(n1 n2 m2 n3)`` per face set
 instead of materializing the circulant.  ``bcirc`` itself stays in
 :mod:`textrap.tensor_core` as a capped test oracle.
+
+``tinverse`` decides through ``is_invertible``: one rule and one report lie
+behind both.  Pseudo-inverses and least squares live in :mod:`textrap.tsvd`.
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ def ttranspose(x: Tensor3) -> Tensor3:
     return Tensor3(out)
 
 
-def _face_singular_values(a: Tensor3) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum faces and their singular values: returns (faces, sv)
-    with sv[f] sorted descending."""
-    faces = _faces(a.data)
-    return faces, _face_linalg(np.linalg.svd, faces, compute_uv=False)
-
-
 @dataclass(frozen=True)
 class InvertibilityReport:
     """Per-face conditioning summary behind an invertibility decision."""
@@ -111,7 +107,7 @@ class InvertibilityReport:
     @property
     def face_conds(self) -> np.ndarray:
         """Condition estimate per face (inf where a face is exactly singular)."""
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(
                 self.face_min_sv > 0, self.face_max_sv / self.face_min_sv, np.inf
             )
@@ -124,20 +120,16 @@ def is_invertible(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> Inv
     """Decide invertibility from the DFT faces.
 
     ``a`` is invertible exactly when every DFT face is nonsingular; the
-    numerical test is that the smallest singular value across all faces,
-    relative to the largest, exceeds ``threshold``.  The report carries the
+    numerical test is that the smallest singular value across all faces
+    exceeds ``threshold`` times the largest.  The report carries the
     extremal singular values of all ``n3`` faces and is truthy iff
     invertible.
     """
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"invertibility needs square slices, got {a.dims}")
-    _, sv = _face_singular_values(a)
-    sv = _full_spectrum(sv, a.n3)
-    face_min = sv[:, -1]
-    face_max = sv[:, 0]
-    top = float(np.max(face_max))
-    ok = top > 0 and float(np.min(face_min)) / top > threshold
-    return InvertibilityReport(bool(ok), float(threshold), face_min, face_max)
+    sv = _full_spectrum(_face_linalg(np.linalg.svd, _faces(a.data), compute_uv=False), a.n3)
+    ok = bool(np.min(sv[:, -1]) > threshold * np.max(sv[:, 0]))
+    return InvertibilityReport(ok, float(threshold), sv[:, -1], sv[:, 0])
 
 
 def tinverse(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> Tensor3:
@@ -146,25 +138,22 @@ def tinverse(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> Tensor3:
     Raises
     ------
     SingularFaceError
-        If some face's smallest singular value falls at or below
-        ``threshold`` times the largest singular value over all faces.
-        The error carries the offending face index and condition estimate.
+        If :func:`is_invertible` refuses ``a``: some face's smallest
+        singular value falls at or below ``threshold`` times the largest
+        singular value over all faces.  The error carries the face with the
+        smallest singular value and its condition estimate.
     """
-    if a.n1 != a.n2:
-        raise DimensionMismatchError(f"tinverse needs square slices, got {a.dims}")
-    faces, sv = _face_singular_values(a)
-    top = float(np.max(sv[:, 0]))
-    worst = int(np.argmin(sv[:, -1]))
-    if sv[worst, -1] <= threshold * top:
-        smin = sv[worst, -1]
-        cond = float(sv[worst, 0] / smin) if smin > 0 else np.inf
+    report = is_invertible(a, threshold)
+    if not report:
+        worst = int(np.argmin(report.face_min_sv))
         raise SingularFaceError(
             f"face {worst} is singular to working precision "
-            f"(min sv {smin:.3e}, global max sv {top:.3e})",
+            f"(min sv {report.face_min_sv[worst]:.3e}, "
+            f"global max sv {np.max(report.face_max_sv):.3e})",
             face_index=worst,
-            cond=cond,
+            cond=float(report.face_conds[worst]),
         )
-    return _unfaces(_face_linalg(np.linalg.inv, faces), a.n3)
+    return _unfaces(_face_linalg(np.linalg.inv, _faces(a.data)), a.n3)
 
 
 def tscalar_product(x: Tensor3, y: Tensor3) -> TubalScalar:

@@ -54,7 +54,7 @@ from .errors import (
     InvalidParameterError,
     SingularFaceError,
 )
-from .tensor_core import Tensor3, _require_finite, frobenius_norm
+from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
 from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
 from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
 
@@ -136,14 +136,16 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     largest, so a term whose tube is cut on every face is dropped (as is
     every term of a zero ``b``).  A tube cut on some faces only is kept, and
     its delta is exactly zero on the cut faces.  A non-finite entry in ``a``
-    or ``b`` raises ``FaceSvdError``.
+    or ``b`` raises ``FaceSvdError``, a non-integer ``k_max`` ``InvalidParameterError``.
     """
     n1, n2, n3 = a.dims
     if b.n1 != n1 or b.n3 != n3:
         raise DimensionMismatchError(f"right-hand side dims {b.dims} do not match {a.dims}")
     _require_finite(b, "right-hand side")
+    if k_max is not None:
+        _require_int(k_max, "k_max")
     r = min(n1, n2)
-    limit = r if k_max is None else min(int(k_max), r)
+    limit = r if k_max is None else min(k_max, r)
     if limit < 1:
         raise DimensionMismatchError(f"k_max = {k_max} leaves no usable terms")
     factors = tsvd(a)
@@ -250,7 +252,8 @@ def solve(
     ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
     ``x_true`` before any work.  A NaN or negative ``tol_eps``, and a
     ``shift`` that is NaN, infinite or negative, raise
-    ``InvalidParameterError`` naming the parameter, before any work.
+    ``InvalidParameterError`` naming the parameter, before any work (a
+    non-integer ``k_max`` before the decomposition).
     """
     # written so that NaN fails both tests
     if not tol_eps >= 0:

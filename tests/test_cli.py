@@ -8,10 +8,12 @@ from oracles import face_singular_values
 from textrap import (
     Stack4,
     Tensor3,
+    TensorSequence,
     frobenius_norm,
     identity_tensor,
     load_factors,
     read_tns3,
+    read_tns4,
     tinverse,
     tprod,
     tsvd,
@@ -323,6 +325,35 @@ def test_extrapolate_tmpe_reaches_fixed_point(tmp_path, capsys):
     assert len(report["beta"]) == 2
     assert report["residual_norm"] < 1e-8
     assert_allclose(read_tns3(out).data, fixed.data, atol=1e-6)
+
+
+@pytest.mark.parametrize("method, entry", [("trre", "extrapolate"), ("ttea", "ttea_solve")])
+def test_extrapolate_uses_the_sequence_it_read_without_a_copy(tmp_path, capsys, monkeypatch, method, entry):
+    import textrap.cli as cli
+
+    seq_path, _ = linear_sequence_files(tmp_path, n=5, n3=3, width=2)
+    y_path = tmp_path / "y.tns3"
+    write_tns3(Tensor3(RNG.standard_normal((5, 1, 3))), y_path)
+    seen, original = {}, getattr(cli, entry)
+
+    def reading(path):
+        seen["read"] = read_tns4(path)
+        return seen["read"]
+
+    def solving(seq, *args, **kwargs):
+        seen["seq"] = seq
+        return original(seq, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_tns4", reading)
+    monkeypatch.setattr(cli, entry, solving)
+    code, report, _ = run_cli(
+        ["extrapolate", "-i", seq_path, "--method", method, "--k", "2", "--y", y_path,
+         "--output", tmp_path / "ext.tns3"],
+        capsys,
+    )
+    assert code == 0 and report["terms"] == 8
+    assert isinstance(seen["seq"], TensorSequence)
+    assert np.shares_memory(seen["seq"]._data, seen["read"]._data)
 
 
 def test_extrapolate_tmmpe_test_stack_options(tmp_path, capsys):

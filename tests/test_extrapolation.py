@@ -306,6 +306,18 @@ def test_gamma_to_alpha_rejects_drift():
         gamma_to_alpha(Stack4([rand(2, 3, 2), rand(2, 3, 2)]))
 
 
+def test_gamma_to_alpha_refuses_nan():
+    with pytest.raises(NumericalConsistencyError):
+        gamma_to_alpha(Stack4([np.full((2, 2, 2), np.nan)] * 2))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2.5, "2", True])
+def test_default_tmmpe_y_refuses_a_bad_k(k):
+    with pytest.raises(InvalidParameterError) as info:
+        default_tmmpe_y((4, 2, 3), k)
+    assert info.value.parameter == "k"
+
+
 @pytest.mark.parametrize("method", ["tmpe", "trre"])
 def test_extrapolate_forms_the_differences_once(monkeypatch, method):
     import textrap.extrapolation as engine

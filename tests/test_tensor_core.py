@@ -248,6 +248,60 @@ def test_tns3_trailing_bytes(tmp_path):
         read_tns3(path)
 
 
+def _put(raw: bytes, offset: int, value: int, size: int = 8) -> bytes:
+    return raw[:offset] + value.to_bytes(size, "little") + raw[offset + size :]
+
+
+# (mutation of a valid file's bytes given its header size, error, message);
+# the dims n1, n2, n3 are the header's last three u64 fields
+MALFORMED = [
+    pytest.param(lambda raw, h: b"NOPE" + raw[4:], BadMagicError,
+                 r"expected magic b'TNS.', got b'NOPE'", id="bad_magic"),
+    pytest.param(lambda raw, h: raw[:10], TruncatedPayloadError,
+                 r"holds 10 bytes, shorter than the \d+-byte header", id="short_header"),
+    pytest.param(lambda raw, h: _put(raw, 4, 99, 4), UnsupportedVersionError,
+                 r"unsupported TNS. version 99", id="version"),
+    pytest.param(lambda raw, h: _put(raw, h - 24, 2**50), DimensionOverflowError,
+                 r"header dimensions \(1125899906842624, 2, 2\)", id="huge_dim"),
+    pytest.param(lambda raw, h: _put(raw, h - 8, 0), DimensionOverflowError,
+                 r"header dimensions \(2, 2, 0\)", id="zero_dim"),
+    pytest.param(lambda raw, h: raw[:-8], TruncatedPayloadError,
+                 r"payload needs \d+ bytes total, file holds \d+", id="truncated"),
+    pytest.param(lambda raw, h: raw + b"\x00", TensorFileError,
+                 r"^1 trailing bytes after payload$", id="trailing"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["tns3", "tns4"])
+@pytest.mark.parametrize("mutate, error, message", MALFORMED)
+def test_malformed_files_raise_the_same_errors_in_both_formats(tmp_path, fmt, mutate, error, message):
+    path = tmp_path / f"t.{fmt}"
+    if fmt == "tns3":
+        write_tns3(rand(2, 2, 2), path)
+        read, header = read_tns3, 32
+    else:
+        write_tns4(Stack4([rand(2, 2, 2) for _ in range(3)]), path)
+        read, header = read_tns4, 40
+    path.write_bytes(mutate(path.read_bytes(), header))
+    with pytest.raises(error, match=message):
+        read(path)
+
+
+@pytest.mark.parametrize(
+    "count, dims, message",
+    [
+        (0, (2, 2, 2), r"slice count 0 is outside"),
+        (2**49, (2, 2, 2), r"slice count 562949953421312 is outside"),
+        (2**20, (2**10, 2**10, 2**10), r"total size 1048576 x \(1024, 1024, 1024\) is outside"),
+    ],
+)
+def test_tns4_refuses_a_count_outside_the_supported_range(tmp_path, count, dims, message):
+    path = tmp_path / "s.tns4"
+    path.write_bytes(struct.pack("<4sIQQQQ", b"TNS4", 1, count, *dims))
+    with pytest.raises(DimensionOverflowError, match=message):
+        read_tns4(path)
+
+
 def test_tns4_round_trip(tmp_path):
     stack = Stack4([rand(3, 2, 4) for _ in range(5)])
     path = tmp_path / "s.tns4"

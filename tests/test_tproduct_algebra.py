@@ -139,6 +139,26 @@ def test_is_invertible_report():
         is_invertible(rand(2, 3, 2))
 
 
+def test_face_conds_is_inf_on_an_exactly_zero_face():
+    # 0 / 0 on a zero face must read inf, not warn about an invalid value
+    conds = is_invertible(Tensor3(np.zeros((2, 2, 3)))).face_conds
+    np.testing.assert_array_equal(conds, np.inf)
+    constant = np.repeat(well_conditioned(2, 1).data, 4, axis=2)  # faces 1..3 are zero
+    conds = is_invertible(Tensor3(constant)).face_conds
+    assert np.isfinite(conds[0]) and np.all(conds[1:] == np.inf)
+
+
+def test_tinverse_raises_from_the_is_invertible_report():
+    for data in (np.zeros((2, 2, 3)), np.repeat(well_conditioned(3, 1).data, 4, axis=2)):
+        report = is_invertible(Tensor3(data))
+        with pytest.raises(SingularFaceError) as info:
+            tinverse(Tensor3(data))
+        worst = int(np.argmin(report.face_min_sv))
+        assert info.value.face_index == worst
+        assert info.value.cond == report.face_conds[worst] == np.inf
+        assert str(info.value).startswith(f"face {worst} is singular to working precision")
+
+
 def test_invertibility_threshold_override():
     a = well_conditioned(3, 4)
     assert is_invertible(a).threshold == INVERTIBILITY_THRESHOLD == 1e-12

@@ -597,6 +597,28 @@ def test_solve_refuses_invalid_parameters_before_any_work(kwargs, name, monkeypa
     assert info.value.parameter == name
 
 
+@pytest.mark.parametrize("k_max", [np.nan, np.inf, 2.5, "3", True])
+@pytest.mark.parametrize("entry", ["solve", "build_sequence"])
+def test_non_integer_k_max_is_refused_before_the_decomposition(entry, k_max, monkeypatch):
+    import textrap.trre_tsvd_solver as solver
+
+    def no_work(*args, **kw):
+        raise AssertionError("the decomposition was computed")
+
+    monkeypatch.setattr(solver, "tsvd", no_work)
+    a, b = rand(4, 4, 3), rand(4, 1, 3)
+    with pytest.raises(InvalidParameterError, match="k_max") as info:
+        getattr(solver, entry)(a, b, k_max=k_max)
+    assert info.value.parameter == "k_max"
+
+
+def test_integer_k_max_of_any_integer_type_is_accepted():
+    a, b = rand(5, 5, 3), rand(5, 1, 3)
+    assert build_sequence(a, b, k_max=np.int64(3)).count == 3
+    with pytest.raises(DimensionMismatchError):
+        solve(a, b, k_max=np.int64(0))
+
+
 # ---------------------------------------------------------------------------
 # the one-pass k-path against the step-by-step loop
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import bcirc_pinv_apply, brute_bcirc, face_singular_values
 from textrap import (
     DimensionMismatchError,
+    InvalidParameterError,
     Tensor3,
     check_moore_penrose,
     frobenius_norm,
@@ -92,6 +93,13 @@ def test_ttsvd_validates_k():
     for bad in (0, -1, 4):
         with pytest.raises(DimensionMismatchError):
             ttsvd(a, bad)
+
+
+@pytest.mark.parametrize("k", [2.5, "2", np.float64(2.0), True])
+def test_ttsvd_refuses_a_non_integer_k(k):
+    with pytest.raises(InvalidParameterError) as info:
+        ttsvd(rand(4, 3, 2), k)
+    assert info.value.parameter == "k"
 
 
 def test_ttsvd_full_k_gives_moore_penrose():
