@@ -425,7 +425,21 @@ def _suite_trre_tsvd(rng, oracle) -> dict:
         seq = TensorSequence(build_sequence(a, b).partial_sums[: k + 2])
         ref = extrapolate(seq, 0, k, method="trre").t_k
         worst = max(worst, frobenius_norm(t_k - ref) / max(frobenius_norm(ref), 1.0))
-    return {"cases": 5, "max_error": worst, "passed": worst <= 1e-7}
+    # a tolerance stop on a smooth 64 x 64 x 4 problem, decided by the leading
+    # triplets only, against the engine on the full decomposition's sums
+    a, _, _ = make_problem((64, 64, 4), "geometric", 0.5, 0.0, rng, 1)
+    v = tsvd(a).v.data
+    x = Tensor3(np.einsum("j,ijt->it", 0.5 ** np.arange(64), v)[:, None, :])
+    b_bar = tprod(a, x)
+    noise = rng.standard_normal(b_bar.dims)
+    b = b_bar + Tensor3(noise * 1e-3 * frobenius_norm(b_bar) / np.linalg.norm(noise))
+    report = solve(a, b, tol_eps=1e-3, shift=None)
+    k = report.final_k
+    sums = build_sequence(a, b).partial_sums
+    ref = extrapolate(TensorSequence(sums[: k + 2]), 0, k, method="trre").t_k
+    worst = max(worst, frobenius_norm(report.t_k - ref) / max(frobenius_norm(ref), 1.0))
+    truncated = report.stop_reason == "tolerance" and report.triplets < 64
+    return {"cases": 6, "max_error": worst, "passed": worst <= 1e-7 and truncated}
 
 
 SUITES = {

@@ -107,7 +107,10 @@ def difference_stacks(seq: TensorSequence, n: int, k: int) -> tuple[Stack4, Stac
     Returns ``(DS, D2S)`` with k+1 first-difference slices
     ``DS_{n+j} = S_{n+j+1} - S_{n+j}`` (j = 0..k) and k second-difference
     slices ``D2S_{n+j}`` (j = 0..k-1).  Needs terms through ``S_{n+k+1}``.
+    An ``n`` or ``k`` that is not an integer raises ``InvalidParameterError``.
     """
+    _require_int(n, "n")
+    _require_int(k, "k")
     if n < 0 or k < 1:
         raise InsufficientSequenceError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     seq.require(n + k + 2, f"width-{k} extrapolation at n={n}")
@@ -336,8 +339,11 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     ``ttranspose(y) * D2S_{n+i+j-1}`` (row j = 0..k-1, column i = 1..k)
     against right-hand sides ``-ttranspose(y) * DS_{n+j}``, then forms
     ``E_k = S_n + sum_i DS_{n+i-1} * beta_i``.  Needs n >= 0, k >= 1 and
-    2k+1 terms from index n.
+    2k+1 terms from index n; an ``n`` or ``k`` that is not an integer raises
+    ``InvalidParameterError``.
     """
+    _require_int(n, "n")
+    _require_int(k, "k")
     if n < 0 or k < 1:
         raise InsufficientSequenceError(f"TTEA needs n >= 0 and k >= 1, got n={n}, k={k}")
     if y.dims != seq.dims:

@@ -38,6 +38,15 @@ tolerance; its extra memory is a few arrays of the shape of ``sum_faces``,
 and no step past the first singular Theta is evaluated.  Only the final
 T_k is transformed back.  ``build_sequence`` accepts right-hand sides of
 any width.
+
+A tolerance stop at k reads terms 1 .. k+1 only.  So a solve with
+``tol_eps > 0`` on an operator with min(n1, n2) >= 64 first runs the same
+sequence body and k-path on the leading 16 triplets of every face, from a
+fixed-seed randomized range finder (``tsvd._leading_tsvd``).  The attempt
+decides the result when every term its outcome depends on is trusted
+(small triplet residual, at least 4 before the 16th); otherwise the full
+decomposition is computed and the path run on it, which is what a solve
+with ``tol_eps = 0`` does from the start.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from .errors import (
 )
 from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
 from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
-from .tsvd import TsvdFactors, _pseudo_invert_diagonal, tsvd
+from .tsvd import TsvdFactors, _leading_tsvd, _pseudo_invert_diagonal, tsvd
 
 __all__ = [
     "TtsvdSequenceState",
@@ -70,6 +79,11 @@ __all__ = [
 #: tensor, one scaled identity, and is on by default; pass shift=None to
 #: require exactly invertible Theta)
 DEFAULT_THETA_SHIFT = 1e-10
+
+#: singular triplets per face of a solve's truncated attempt, which is made
+#: only when min(n1, n2) is at least 4 times this
+_LEADING_TRIPLETS = 16
+
 
 @dataclass(frozen=True)
 class TtsvdSequenceState:
@@ -119,25 +133,9 @@ def _sdelta_faces(v: Tensor3, delta_faces: np.ndarray, kept, out=None) -> np.nda
     return np.multiply(vf[:, :, None, :], delta_faces[:, None], out=out)
 
 
-def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSequenceState:
-    """Build the TTSVD sequence state for ``a * x = b``.
-
-    One full decomposition of ``a`` is computed up front and every term is
-    formed at once on the half spectrum: one T-product gives all
-    ``u_j^T * b``, whose faces scaled by the pseudo-inverted singular values
-    are the delta faces; times the faces of ``v_j`` they are the increments,
-    and one cumulative sum gives the partial sums.  The partial sums
-    telescope over a single factor set, so this is equivalent to truncating
-    at every k separately.
-
-    Drop rule: term j is dropped, and the sequence reindexed, iff delta_j is
-    zero on every face.  Its pseudo-inverted singular tube is zero on a face
-    where the singular value is at or below ``PINV_RCOND`` times that face's
-    largest, so a term whose tube is cut on every face is dropped (as is
-    every term of a zero ``b``).  A tube cut on some faces only is kept, and
-    its delta is exactly zero on the cut faces.  A non-finite entry in ``a``
-    or ``b`` raises ``FaceSvdError``, a non-integer ``k_max`` ``InvalidParameterError``.
-    """
+def _validated_limit(a: Tensor3, b: Tensor3, k_max) -> int:
+    """The number of terms a sequence for ``a * x = b`` may have, after the
+    checks of ``b`` and ``k_max`` that precede any decomposition."""
     n1, n2, n3 = a.dims
     if b.n1 != n1 or b.n3 != n3:
         raise DimensionMismatchError(f"right-hand side dims {b.dims} do not match {a.dims}")
@@ -148,7 +146,13 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     limit = r if k_max is None else min(k_max, r)
     if limit < 1:
         raise DimensionMismatchError(f"k_max = {k_max} leaves no usable terms")
-    factors = tsvd(a)
+    return limit
+
+
+def _sequence(factors: TsvdFactors, b: Tensor3, limit: int) -> TtsvdSequenceState:
+    """The sequence of the leading ``limit`` triplets of ``factors``, every
+    term at once (see :func:`build_sequence`)."""
+    n2, n3 = factors.v.n1, factors.v.n3
     faces = n3 // 2 + 1
     inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[:faces, :limit])
     utb = tprod(ttranspose(Tensor3(factors.u.data[:, :limit])), b)
@@ -166,6 +170,30 @@ def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSeq
     )
 
 
+def build_sequence(a: Tensor3, b: Tensor3, k_max: int | None = None) -> TtsvdSequenceState:
+    """Build the TTSVD sequence state for ``a * x = b``.
+
+    One full decomposition of ``a`` is computed up front and every term is
+    formed at once on the half spectrum: one T-product gives all
+    ``u_j^T * b``, whose faces scaled by the pseudo-inverted singular values
+    are the delta faces; times the faces of ``v_j`` they are the increments,
+    and one cumulative sum gives the partial sums.  The partial sums
+    telescope over a single factor set, so this is equivalent to truncating
+    at every k separately.  ``solve``'s truncated attempt runs the same
+    sequence body on its leading triplets.
+
+    Drop rule: term j is dropped, and the sequence reindexed, iff delta_j is
+    zero on every face.  Its pseudo-inverted singular tube is zero on a face
+    where the singular value is at or below ``PINV_RCOND`` times that face's
+    largest, so a term whose tube is cut on every face is dropped (as is
+    every term of a zero ``b``).  A tube cut on some faces only is kept, and
+    its delta is exactly zero on the cut faces.  A non-finite entry in ``a``
+    or ``b`` raises ``FaceSvdError``, a non-integer ``k_max`` ``InvalidParameterError``.
+    """
+    limit = _validated_limit(a, b, k_max)
+    return _sequence(tsvd(a), b, limit)
+
+
 @dataclass
 class SolverReport:
     """Per-iteration history of a reduced-rank TTSVD solve.
@@ -175,8 +203,11 @@ class SolverReport:
     and eta).  ``stop_reason`` is "tolerance" when ``min(residual, eta)``
     fell below the threshold, else "k_max".  ``kept_indices`` are the
     original indices of the sequence terms that survived the drop rule, and
-    ``phase_seconds`` splits the wall time into building the sequence and
-    the k-path.
+    ``triplets`` the singular triplets per face of the factorization the
+    result came from: 16 for an accepted truncated attempt, else
+    min(n1, n2).  ``phase_seconds`` splits the wall time into building the
+    sequence, which includes a truncated attempt that was rejected (its
+    decomposition, sequence and k-path), and the k-path that gave the result.
     """
 
     tol_eps: float
@@ -188,6 +219,7 @@ class SolverReport:
     stop_reason: str = ""
     t_k: Tensor3 | None = None
     kept_indices: tuple = ()
+    triplets: int = 0
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -210,6 +242,7 @@ class SolverReport:
             "t_norms": list(self.t_norms),
             "phase_seconds": dict(self.phase_seconds),
             "kept_indices": list(self.kept_indices),
+            "triplets": self.triplets,
         }
         if any(e is not None for e in self.errors):
             out["relative_errors"] = list(self.errors)
@@ -225,6 +258,81 @@ def _parseval_weights(n3: int) -> np.ndarray:
     if n3 % 2 == 0:
         c[-1] = 1.0 / n3
     return c
+
+
+def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
+    """The k-path over the state's terms in one pass.
+
+    Returns ``(t, res, eta, t_norms, reads, error)``: the half-spectrum T_k
+    rows (k - 1, n2, F) for k = 1 .. the final k, that path's residuals and
+    eta (from k = 2) and extrapolant norms, how many sequence terms decided
+    where the path ends (None when it ran out of terms), and the error the
+    path ends with (None for a result).
+    """
+    if state.count == 0:
+        return None, None, None, None, None, InsufficientSequenceError(
+            "right-hand side produced no usable sequence terms (every delta vanished)"
+        )
+    n2, n3 = state.sum_faces.shape[1], state.factors.u.n3
+    # half-spectrum faces: theta (count, faces) and the partial sums
+    # S_0 = 0, S_1, ... (count + 1, n2, faces)
+    deltas = state.delta_faces[:, 0]
+    theta = deltas.real**2 + deltas.imag**2
+    sums = state.sum_faces[:, :, 0]
+    shifted = theta + float(shift) if shift else theta
+    # step k inverts Theta_1 .. Theta_k; the path stops short of the first Theta
+    # that ``tinverse`` refuses (smallest face value <= threshold * largest)
+    singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
+    first_singular = int(np.argmax(singular)) if singular.any() else state.count
+    last = min(state.count - 1, first_singular)  # steps 2 .. last are evaluated
+    weights = 1.0 / shifted[:last]
+
+    # row k-1 holds T_k: first sum_{1<=j<k} W_{j+1} S_j, then T_k in place
+    t = np.zeros((max(last, 1), n2, sums.shape[-1]), dtype=sums.dtype)
+    np.multiply(weights[1:, None], sums[1:last], out=t[1:])
+    np.cumsum(t, axis=0, out=t)
+    theta_next = theta[2 : last + 1]
+    den = 1.0 + theta_next * np.cumsum(weights, axis=0)[1:]
+    t[1:] *= theta_next[:, None]
+    t[1:] += sums[2 : last + 1]
+    t[1:] /= den[:, None]
+    t[0] = sums[1]
+    parseval = _parseval_weights(n3)
+    res = np.sqrt(np.sum(parseval * theta[1:last] * weights[1:] * theta_next / den, axis=-1))
+    t_norms = _norms(t, parseval)
+    eta = _norms(np.diff(t, axis=0), parseval) / t_norms[:-1]
+    hit = np.flatnonzero(np.minimum(res, eta) < tol_eps)
+    if hit.size:
+        k = hit[0] + 2  # step k reads terms 1 .. k + 1
+        return t[:k], res[: k - 1], eta[: k - 1], t_norms[:k], k + 1, None
+    step = max(2, first_singular + 1)
+    if step < state.count:  # the path reaches the step that inverts it
+        j = first_singular
+        face = int(np.argmin(shifted[j]))
+        smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
+        error = SingularFaceError(
+            f"Theta_{j + 1} at step k={step}: face {face} is singular to working "
+            f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
+            face_index=face, cond=top / smin if smin > 0 else np.inf,
+        )
+        return None, None, None, None, step + 1, error
+    return t, res, eta, t_norms, None, None
+
+
+def _norms(faces: np.ndarray, parseval: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the tensors whose half-spectrum faces are the last
+    two axes of ``faces``."""
+    return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
+
+
+def _attempts(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float):
+    """The sequence states a solve tries in turn, each with the last term
+    index whose outcome it can decide: for a tolerance stop on a large
+    enough operator the leading triplets' sequence first, then the full one."""
+    if tol_eps > 0 and min(a.n1, a.n2) >= 4 * _LEADING_TRIPLETS:
+        factors, trusted = _leading_tsvd(a, _LEADING_TRIPLETS)
+        yield _sequence(factors, b, min(limit, _LEADING_TRIPLETS)), trusted
+    yield build_sequence(a, b, k_max), limit
 
 
 def solve(
@@ -243,6 +351,18 @@ def solve(
     extrapolant; stops at the first k with ``min(residual, eta) < tol_eps``,
     else at the last term, and reports the history up to there.
     ``x_true``, when supplied, adds a relative-error column.
+
+    Truncated attempt: with ``tol_eps > 0`` and ``min(n1, n2)`` at least
+    4 x 16, the path first runs on the sequence of the leading 16 triplets
+    of every face (``tsvd._leading_tsvd``, a randomized range finder with a
+    fixed seed, so the result is deterministic and numpy's global random
+    state is untouched).  Its outcome stands when every term it read is
+    trusted: the triplets up to there have small residuals and lie at least
+    4 before the 16th, whether the path stopped at the tolerance, at a
+    singular Theta, or at ``k_max``.  Otherwise the full decomposition is
+    computed and the path run again, as a solve with ``tol_eps = 0``
+    always does.  The drop rule applies to the terms computed, so
+    ``kept_indices`` of an accepted attempt lie in 1 .. 16.
 
     ``b`` must have one column; solve a wider right-hand side one column at
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
@@ -278,66 +398,29 @@ def solve(
         x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
         x_scale = frobenius_norm(x_true) or 1.0  # a zero x_true reports |T_k|
     started = time.perf_counter()
-    state = build_sequence(a, b, k_max)
-    if state.count == 0:
-        raise InsufficientSequenceError(
-            "right-hand side produced no usable sequence terms (every delta vanished)"
-        )
-    steps_started = time.perf_counter()
-
-    # half-spectrum faces: theta (count, faces) and the partial sums
-    # S_0 = 0, S_1, ... (count + 1, n2, faces)
-    deltas = state.delta_faces[:, 0]
-    theta = deltas.real**2 + deltas.imag**2
-    sums = state.sum_faces[:, :, 0]
-    shifted = theta + float(shift) if shift else theta
-    # step k inverts Theta_1 .. Theta_k; the path stops short of the first Theta
-    # that ``tinverse`` refuses (smallest face value <= threshold * largest)
-    singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
-    first_singular = int(np.argmax(singular)) if singular.any() else state.count
-    last = min(state.count - 1, first_singular)  # steps 2 .. last are evaluated
-    weights = 1.0 / shifted[:last]
-    parseval = _parseval_weights(n3)
-
-    def norms(faces: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
-
-    # row k-1 holds T_k: first sum_{1<=j<k} W_{j+1} S_j, then T_k in place
-    t = np.zeros((max(last, 1), n2, sums.shape[-1]), dtype=sums.dtype)
-    np.multiply(weights[1:, None], sums[1:last], out=t[1:])
-    np.cumsum(t, axis=0, out=t)
-    theta_next = theta[2 : last + 1]
-    den = 1.0 + theta_next * np.cumsum(weights, axis=0)[1:]
-    t[1:] *= theta_next[:, None]
-    t[1:] += sums[2 : last + 1]
-    t[1:] /= den[:, None]
-    t[0] = sums[1]
-    res = np.sqrt(np.sum(parseval * theta[1:last] * weights[1:] * theta_next / den, axis=-1))
-    t_norms = norms(t)
-    eta = norms(np.diff(t, axis=0)) / t_norms[:-1]
-    hit = np.flatnonzero(np.minimum(res, eta) < tol_eps)
-    if hit.size:
-        t = t[: hit[0] + 2]
-    elif max(2, first_singular + 1) < state.count:
-        j = first_singular
-        face = int(np.argmin(shifted[j]))
-        smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
-        raise SingularFaceError(
-            f"Theta_{j + 1} at step k={max(2, j + 1)}: face {face} is singular to working "
-            f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
-            face_index=face, cond=top / smin if smin > 0 else np.inf,
-        )
+    limit = _validated_limit(a, b, k_max)
+    for state, trusted in _attempts(a, b, k_max, limit, tol_eps):
+        steps_started = time.perf_counter()
+        t, res, eta, t_norms, reads, error = _k_path(state, tol_eps, shift)
+        if (limit if reads is None else state.kept_indices[reads - 1]) <= trusted:
+            break
+    if error is not None:
+        raise error
     k = len(t)  # the final k
+    errors = [None] * k
+    if x_faces is not None:
+        errors = (_norms(t - x_faces, _parseval_weights(n3)) / x_scale).tolist()
     return SolverReport(
         float(tol_eps),
         ks=list(range(1, k + 1)),
-        residual_norms=[None, *res[: k - 1].tolist()],
-        eta_ratios=[None, *eta[: k - 1].tolist()],
-        t_norms=t_norms[:k].tolist(),
-        errors=[None] * k if x_faces is None else (norms(t - x_faces) / x_scale).tolist(),
-        stop_reason="tolerance" if hit.size else "k_max",
+        residual_norms=[None, *res.tolist()],
+        eta_ratios=[None, *eta.tolist()],
+        t_norms=t_norms.tolist(),
+        errors=errors,
+        stop_reason="k_max" if reads is None else "tolerance",
         t_k=Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :]),
         kept_indices=state.kept_indices,
+        triplets=state.factors.r,
         phase_seconds={
             "sequence": steps_started - started,
             "steps": time.perf_counter() - steps_started,

@@ -667,3 +667,23 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
             break
     out["t_k"] = Tensor3(np.fft.irfft(t_prev, n=n3, axis=-1)[:, None, :])
     return out
+
+
+# ---------------------------------------------------------------------------
+# operators with a prescribed face spectrum
+
+
+def spectral_operator(sv: np.ndarray, n3: int, rng) -> tuple[Tensor3, np.ndarray]:
+    """A real n x n x n3 tensor whose half-spectrum face f is
+    ``U_f diag(sv[f]) V_f^H`` with random unitary ``U_f`` and ``V_f`` (real
+    on face 0 and, for even n3, on face n3/2, so that the tensor is real).
+    ``sv`` has shape (n3 // 2 + 1, n); returns the tensor and the faces
+    ``V_f`` (F, n, n), whose columns are its right singular vectors."""
+    faces, n = sv.shape
+    z = rng.standard_normal((2, faces, n, n)) + 1j * rng.standard_normal((2, faces, n, n))
+    z[:, 0] = z[:, 0].real
+    if n3 % 2 == 0:
+        z[:, -1] = z[:, -1].real
+    u, v = np.linalg.qr(z[0])[0], np.linalg.qr(z[1])[0]
+    a_faces = (u * sv[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return Tensor3(np.fft.irfft(a_faces, n=n3, axis=0).transpose(1, 2, 0)), v

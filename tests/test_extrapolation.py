@@ -333,3 +333,22 @@ def test_extrapolate_forms_the_differences_once(monkeypatch, method):
     seq = TensorSequence([rand(3, 1, 2) for _ in range(5)])
     engine.extrapolate(seq, 0, 2, method)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda seq, y: extrapolate(seq, 0, 2.5), "k"),
+        (lambda seq, y: extrapolate(seq, 0.5, 2), "n"),
+        (lambda seq, y: ttea_solve(seq, 0, 2.5, y), "k"),
+        (lambda seq, y: difference_stacks(seq, 0, 1.5), "k"),
+        (lambda seq, y: extrapolate(seq, 0, "2", "trre"), "k"),
+        (lambda seq, y: extrapolate(seq, 0, True, "trre"), "k"),
+    ],
+)
+def test_non_integer_window_parameter_is_refused(call, name):
+    seq = TensorSequence([rand(3, 1, 2) for _ in range(8)])
+    with pytest.raises(InvalidParameterError) as info:
+        call(seq, rand(3, 1, 2))
+    assert info.value.parameter == name
+    assert name in str(info.value)

@@ -11,11 +11,13 @@ from oracles import (
     matrix_rre_on_tsvd,
     residual_norm,
     sequence_thetas,
+    spectral_operator,
     trre_tsvd_path,
     trre_tsvd_step,
 )
 from textrap import (
     DimensionMismatchError,
+    FaceSvdError,
     InsufficientSequenceError,
     InvalidParameterError,
     NumericalConsistencyError,
@@ -36,6 +38,10 @@ from textrap import (
     ttranspose,
     ttsvd,
 )
+
+from textrap import trre_tsvd_solver
+from textrap.trre_tsvd_solver import _sequence
+from textrap.tsvd import PINV_RCOND, _leading_tsvd
 
 RNG = np.random.default_rng(20240806)
 
@@ -717,3 +723,166 @@ def test_singular_theta_at_the_end_of_the_path():
     ref = loop_solve_path(build_sequence(a, b), 0.0, shift=None, x_true=x)
     assert ref["ks"][-1] == 29 and ref["stop_reason"] == "k_max"
     _same_path(solve(a, b, tol_eps=0.0, shift=None, x_true=x), ref)
+
+
+# ---------------------------------------------------------------------------
+# the truncated attempt: a tolerance-stopped solve from the leading triplets
+
+
+def smooth_spectral_problem(n, n3, rate, tilt, rng, noise=1e-3):
+    """Operator with face singular values 10**(-rate j) scaled per face by
+    up to 1 + tilt, a solution whose right-singular components decay like
+    0.5**j, and a right-hand side with relative noise ``noise``."""
+    faces = n3 // 2 + 1
+    scale = 1.0 + tilt * np.cos(np.pi * np.arange(faces) / max(faces - 1, 1))
+    sv = scale[:, None] * 10.0 ** (-rate * np.arange(n))
+    a, v = spectral_operator(sv, n3, rng)
+    x = Tensor3(np.fft.irfft(v @ 0.5 ** np.arange(n), n=n3, axis=0).T[:, None, :])
+    b_bar = tprod(a, x)
+    g = rng.standard_normal(b_bar.dims)
+    return a, b_bar + Tensor3(g * noise * frobenius_norm(b_bar) / np.linalg.norm(g)), x, sv
+
+
+def _full_path_only(monkeypatch):
+    monkeypatch.setattr(trre_tsvd_solver, "_leading_tsvd", _refuse("the truncated attempt"))
+
+
+def _truncated_only(monkeypatch):
+    monkeypatch.setattr(trre_tsvd_solver, "build_sequence", _refuse("the full decomposition"))
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+
+    return refuse
+
+
+#: largest deviation of an accepted attempt's T_k from the full path's, in
+#: units of eps * sigma_1 / sigma_{k+1}, the full decomposition's own accuracy
+#: on the last term the path read (measured: at most 0.8 over 79 accepted
+#: draws of this problem family away from the cutoff)
+T_K_UNITS = 100.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(64, 96),
+    n3=st.sampled_from([1, 2, 5, 8]),
+    rate=st.floats(0.25, 1.2),
+    tilt=st.floats(0.0, 0.5),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([1e-10, None]),
+)
+def test_truncated_attempt_matches_the_full_path(n, n3, rate, tilt, tol, seed, shift):
+    a, b, x, sv = smooth_spectral_problem(n, n3, rate, tilt, np.random.default_rng(seed))
+    report = solve(a, b, tol_eps=tol, shift=shift, x_true=x)
+    state = build_sequence(a, b)
+    if report.triplets == n:  # the attempt could not decide: the full path ran
+        _same_path(report, loop_solve_path(state, tol, shift, x), rtol=0.0)
+        return
+    assert report.triplets == 16
+    if np.any(np.abs(np.log10(sv[:, :16] / (PINV_RCOND * sv[:, :1]))) < 1.0):
+        # a term near the pseudo-inverse cutoff may be cut by one factorization
+        # and kept by the other: the reference uses the same factorization
+        factors, _ = _leading_tsvd(a, 16)
+        _same_path(report, loop_solve_path(_sequence(factors, b, 16), tol, shift, x))
+        return
+    ref = loop_solve_path(state, tol, shift, x)
+    k = report.final_k
+    assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"]
+    assert report.kept_indices == tuple(j for j in state.kept_indices if j <= 16)
+    last = report.kept_indices[k] - 1  # the last term the path read
+    units = np.finfo(float).eps * np.max(sv[:, 0]) / np.min(sv[:, last])
+    got, want = report.t_k.data, ref["t_k"].data
+    assert np.linalg.norm(got - want) <= T_K_UNITS * units * np.linalg.norm(want)
+
+
+def test_smooth_tolerance_solve_is_decided_by_the_leading_triplets(monkeypatch):
+    a, b, x, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(11))
+    full = solve(a, b, tol_eps=1e-3, x_true=x)
+    assert full.triplets == 16 and full.stop_reason == "tolerance"
+    assert full.as_dict()["triplets"] == 16
+    _truncated_only(monkeypatch)
+    again = solve(a, b, tol_eps=1e-3, x_true=x)
+    assert again.t_k.data.tobytes() == full.t_k.data.tobytes()
+
+
+def test_small_operators_and_tol_zero_run_the_full_path(monkeypatch):
+    a, b, x, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(12))
+    _full_path_only(monkeypatch)
+    report = solve(a, b, tol_eps=0.0, x_true=x)
+    ref = loop_solve_path(build_sequence(a, b), 0.0, x_true=x)
+    assert report.triplets == 64 and report.as_dict()["triplets"] == 64
+    assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"] == "k_max"
+    for key in ("residual_norms", "eta_ratios", "t_norms", "errors"):
+        assert getattr(report, key) == ref[key], key
+    assert report.t_k.data.tobytes() == ref["t_k"].data.tobytes()
+    small, bs, xs, _ = smooth_spectral_problem(63, 4, 0.5, 0.2, np.random.default_rng(12))
+    assert solve(small, bs, tol_eps=1e-3, x_true=xs).triplets == 63
+
+
+def test_truncated_attempt_is_deterministic_and_leaves_the_global_rng_alone():
+    a, b, x, _ = smooth_spectral_problem(64, 5, 0.5, 0.3, np.random.default_rng(13))
+    np.random.seed(1234)
+    before = np.random.get_state()
+    first, second = (solve(a, b, tol_eps=1e-3, x_true=x) for _ in range(2))
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert first.triplets == second.triplets == 16
+    assert first.ks == second.ks and first.kept_indices == second.kept_indices
+    for key in ("residual_norms", "eta_ratios", "t_norms", "errors"):
+        assert getattr(first, key) == getattr(second, key), key
+    assert first.t_k.data.tobytes() == second.t_k.data.tobytes()
+
+
+def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):
+    # a tolerance no step meets: the attempt runs out of its 16 terms
+    a, b, x, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(14))
+    ref = loop_solve_path(build_sequence(a, b), 1e-300, x_true=x)
+    calls = []
+    for name in ("_leading_tsvd", "build_sequence"):
+        original = getattr(trre_tsvd_solver, name)
+        monkeypatch.setattr(trre_tsvd_solver, name,
+                            lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    report = solve(a, b, tol_eps=1e-300, x_true=x)
+    assert calls == ["_leading_tsvd", "build_sequence"]
+    assert report.triplets == 64
+    _same_path(report, ref, rtol=0.0)
+
+
+def rank_cut_problem(n=64, n3=4, rank=3):
+    """An F-diagonal operator whose face 1 has rank ``rank`` and whose other
+    faces have full rank, with singular values 10**(-0.5 j): on face 1 every
+    delta from term rank + 1 on is cut to exactly zero by both the full and
+    the leading-triplet factorization, so with no shift Theta_{rank+1} is
+    singular on face 1."""
+    faces = np.ones((n3 // 2 + 1, n)) * 10.0 ** (-0.5 * np.arange(n))
+    faces[1, rank:] = 0.0
+    sdata = np.zeros((n, n, n3))
+    sdata[np.arange(n), np.arange(n)] = np.fft.irfft(faces, n=n3, axis=0).T
+    return Tensor3(sdata), Tensor3(RNG.uniform(0.5, 1.5, (n, 1, n3)))
+
+
+def test_singular_theta_in_the_trusted_range_raises_like_the_full_path(monkeypatch):
+    a, b = rank_cut_problem()
+    with pytest.raises(SingularFaceError) as want:
+        loop_solve_path(build_sequence(a, b), 1e-14, shift=None)
+    assert "Theta_4 at step k=4" in str(want.value)
+    _truncated_only(monkeypatch)
+    with pytest.raises(SingularFaceError) as got:
+        solve(a, b, tol_eps=1e-14, shift=None)
+    assert str(got.value) == str(want.value)
+    assert got.value.face_index == want.value.face_index == 1
+    assert got.value.cond == want.value.cond == np.inf
+
+
+def test_non_finite_operator_is_refused_by_the_truncated_attempt(monkeypatch):
+    a, b, _, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(15))
+    data = a.data.copy()
+    data[3, 5, 1] = np.nan
+    _truncated_only(monkeypatch)
+    with pytest.raises(FaceSvdError):
+        solve(Tensor3(data), b, tol_eps=1e-3)

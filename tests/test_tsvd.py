@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import bcirc_pinv_apply, brute_bcirc, face_singular_values
+from oracles import bcirc_pinv_apply, brute_bcirc, face_singular_values, spectral_operator
 from textrap import (
     DimensionMismatchError,
+    FaceSvdError,
     InvalidParameterError,
     Tensor3,
     check_moore_penrose,
@@ -21,6 +22,8 @@ from textrap import (
     tubal_rank,
     truncated_expansion,
 )
+
+from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
 
 RNG = np.random.default_rng(20240804)
 
@@ -202,3 +205,60 @@ def test_save_load_round_trip(tmp_path):
     # sidecars written with the former tol key still load
     sidecar_path.write_text(json.dumps(dict(sidecar, tol=1e-10)))
     assert load_factors(prefix).r == 2
+
+
+# ---------------------------------------------------------------------------
+# the leading-triplet factorization of a solve's truncated attempt
+
+
+def _geometric(n, n3, rate, seed):
+    sv = np.tile(10.0 ** (-rate * np.arange(n)), (n3 // 2 + 1, 1))
+    return spectral_operator(sv, n3, np.random.default_rng(seed))[0]
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 8])
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.5, 0.8, 1.2])
+def test_leading_tsvd_trusts_only_resolved_triplets(n3, rate):
+    a = _geometric(64, n3, rate, seed=int(10 * rate) + n3)
+    factors, trusted = _leading_tsvd(a, 16)
+    full = tsvd(a)
+    assert factors.r == 16 and factors.u.dims == (64, 16, n3) and factors.v.dims == (64, 16, n3)
+    assert 0 <= trusted <= 16 - _MARGIN
+    top = full.face_singular_values[:, :1]
+    got, want = factors.face_singular_values[:, :trusted], full.face_singular_values[:, :trusted]
+    assert np.all(np.abs(got - want) <= PINV_RCOND * top)
+    # each trusted triplet spans the same face columns as the full one
+    faces = n3 // 2 + 1
+    for x, y in ((factors.u, full.u), (factors.v, full.v)):
+        xf = np.fft.rfft(x.data[:, :trusted], axis=2)
+        yf = np.fft.rfft(y.data[:, :trusted], axis=2)
+        overlap = np.abs(np.einsum("ijf,ijf->fj", xf.conj(), yf))
+        big = want[:faces] > 1e-6 * top[:faces]  # well separated from the cutoff
+        assert np.all(np.abs(overlap - 1.0)[big] <= 1e-8)
+    if rate == 0.1:
+        assert trusted == 0  # a slow decay is not resolved by 16 columns
+    if rate >= 0.5:
+        assert trusted == 16 - _MARGIN
+
+
+def test_margin_keeps_unresolved_trailing_triplets_out():
+    # why ``_MARGIN`` is 4: at 10**-0.26 per index the sketch resolves the
+    # singular values through index 12 = 16 - 4 to the pseudo-inverse cutoff,
+    # while index 13 already misses by 1e-11 of the largest
+    assert _MARGIN >= 4
+    a = _geometric(64, 2, 0.26, seed=2)
+    factors, trusted = _leading_tsvd(a, 16)
+    full = tsvd(a)
+    miss = np.max(np.abs(factors.face_singular_values - full.face_singular_values[:, :16]), axis=0)
+    miss /= np.max(full.face_singular_values[:, 0])
+    assert np.all(miss[: 16 - _MARGIN] <= PINV_RCOND)
+    assert miss[16 - _MARGIN] > PINV_RCOND
+    assert trusted <= 16 - _MARGIN
+
+
+def test_leading_tsvd_refuses_a_non_finite_operator():
+    a = _geometric(64, 4, 0.5, seed=3)
+    data = a.data.copy()
+    data[0, 0, 0] = np.inf
+    with pytest.raises(FaceSvdError):
+        _leading_tsvd(Tensor3(data), 16)
