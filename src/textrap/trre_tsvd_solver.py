@@ -42,9 +42,11 @@ any width.
 A tolerance stop at k reads terms 1 .. k+1 only.  So a solve with
 ``tol_eps > 0`` on an operator with min(n1, n2) >= 64 first runs the same
 sequence body and k-path on the leading 16 triplets of every face, from a
-fixed-seed randomized range finder (``tsvd._leading_tsvd``).  The attempt
-decides the result when every term its outcome depends on is trusted
-(small triplet residual, at least 4 before the 16th); otherwise the full
+fixed-seed randomized range finder (``tsvd._leading_tsvd``, which
+decomposes its small projection on the faces by an R-SVD and transforms
+the factors back once, for the sequence body).  The attempt decides the
+result when every term its outcome depends on is trusted (small triplet
+residual, at least 4 before the 16th); otherwise the full
 decomposition is computed and the path run on it, which is what a solve
 with ``tol_eps = 0`` does from the start.
 """

@@ -838,6 +838,22 @@ def test_truncated_attempt_is_deterministic_and_leaves_the_global_rng_alone():
     assert first.t_k.data.tobytes() == second.t_k.data.tobytes()
 
 
+def test_truncated_attempt_does_not_depend_on_the_memory_layout_of_a():
+    # spectral_operator's tensor is face-first: every DFT face of it is one
+    # C-contiguous block, the layout tprod returns
+    a, b, x, _ = smooth_spectral_problem(64, 8, 0.5, 0.2, np.random.default_rng(15))
+    assert np.moveaxis(a.data, 2, 0).flags.c_contiguous
+    layouts = [a, Tensor3(np.ascontiguousarray(a.data)), Tensor3(np.asfortranarray(a.data))]
+    reports = [solve(op, b, tol_eps=1e-3, x_true=x) for op in layouts]
+    first = reports[0]
+    assert first.triplets == 16 and first.stop_reason == "tolerance"
+    for report in reports[1:]:
+        assert report.ks == first.ks and report.stop_reason == first.stop_reason
+        assert report.kept_indices == first.kept_indices and report.triplets == first.triplets
+        gap = np.linalg.norm(report.t_k.data - first.t_k.data)
+        assert gap <= 1e-12 * np.linalg.norm(first.t_k.data)
+
+
 def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):
     # a tolerance no step meets: the attempt runs out of its 16 terms
     a, b, x, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(14))

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -23,7 +24,8 @@ from textrap import (
     truncated_expansion,
 )
 
-from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
+from textrap.tensor_core import _faces
+from textrap.tsvd import _MARGIN, _TEST_TENSOR_SEED, PINV_RCOND, _leading_tsvd, _test_faces
 
 RNG = np.random.default_rng(20240804)
 
@@ -262,3 +264,45 @@ def test_leading_tsvd_refuses_a_non_finite_operator():
     data[0, 0, 0] = np.inf
     with pytest.raises(FaceSvdError):
         _leading_tsvd(Tensor3(data), 16)
+
+
+def test_leading_tsvd_never_calls_tsvd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full tsvd ran")
+
+    module = importlib.import_module("textrap.tsvd")
+    monkeypatch.setattr(module, "tsvd", refuse)
+    factors, trusted = _leading_tsvd(_geometric(64, 4, 0.5, seed=4), 16)
+    assert factors.r == 16 and trusted == 16 - _MARGIN
+
+
+def test_test_faces_are_built_once_read_only_and_leave_the_global_rng_alone():
+    _test_faces.cache_clear()
+    np.random.seed(99)
+    before = np.random.get_state()
+    first = _test_faces(64, 16, 6)
+    _leading_tsvd(_geometric(64, 6, 0.5, seed=5), 16)
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert _test_faces(64, 16, 6) is first
+    assert _test_faces.cache_info().misses == 1
+    assert not first.flags.writeable and first.flags.c_contiguous
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 0.0
+    draw = np.random.default_rng(_TEST_TENSOR_SEED).standard_normal((64, 16, 6))
+    assert first.tobytes() == np.ascontiguousarray(_faces(draw)).tobytes()
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 8])
+@pytest.mark.parametrize("rate", [0.26, 0.5, 1.2])
+def test_trusted_triplets_meet_the_bound_from_the_returned_tensors(n3, rate):
+    # faces 0 and n3/2 of the factors are exactly real, so the bound the
+    # attempt checked on its face arrays survives the transform back
+    a = _geometric(64, n3, rate, seed=n3)
+    factors, trusted = _leading_tsvd(a, 16)
+    assert trusted > 0
+    af, uf, vf = (_faces(t.data) for t in (a, factors.u, factors.v))
+    sv = factors.face_singular_values[: n3 // 2 + 1]
+    residual = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)[:, :trusted]
+    assert np.all(residual <= PINV_RCOND * sv[:, :1])
