@@ -16,17 +16,16 @@ is ``v s^+ u^H`` on the faces with the one ``PINV_RCOND`` cutoff.
 
 A tolerance-stopped solve first tries the leading singular triplets only:
 the private ``_leading_tsvd`` gets them from a randomized range finder on
-the same half-spectrum faces, with test-tensor faces built once per shape,
-and decomposes the small projection by an R-SVD on the faces, so no
-factor is transformed back until it returns ordinary ``TsvdFactors``,
-together with how many of its leading triplets can be trusted.
+the same half-spectrum faces and decomposes the small projection by an
+R-SVD on the faces, so no factor is transformed back until it returns
+ordinary ``TsvdFactors``, together with how many of its leading triplets
+can be trusted.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -187,18 +186,17 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     many of them are trusted.
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
-    2011) on the half-spectrum faces ``A_f`` of ``a``, formed once and made
-    C-contiguous so that no product runs on a strided view; in T-product
-    terms the randomized t-SVD of Zhang, Saibaba, Kilmer and Aeron (Numer.
-    Linear Algebra Appl. 25, 2018).  ``Y_f = A_f Omega_f`` for the faces of a
+    2011) on the half-spectrum faces ``A_f`` of ``a``, formed once; in
+    T-product terms the randomized t-SVD of Zhang, Saibaba, Kilmer and Aeron
+    (Numer. Linear Algebra Appl. 25, 2018).  ``Y_f = A_f Omega_f`` for a
     fixed-seed real Gaussian n2 x p x n3 tensor ``Omega`` (real, so faces 0
-    and n3/2 stay real; see :func:`_test_faces`) and a QR, then
-    ``_POWER_STEPS`` power steps ``A_f (A_f^H Q_f)``, each followed by a QR,
-    give an orthonormal ``Q``.  The projection ``B_f = Q_f^H A_f`` is
-    decomposed on the faces by Chan's R-SVD (ACM TOMS 8, 1982): a QR
-    ``B_f^H = P_f R_f`` and the SVD ``R_f^H = U_R S V_R^H`` of a p x p
-    face give ``u = Q U_R`` and ``v = P V_R``.  The result does not depend
-    on numpy's global random state, and repeated calls give identical bits.
+    and n3/2 stay real) and a QR, then ``_POWER_STEPS`` power steps
+    ``A_f (A_f^H Q_f)``, each followed by a QR, give an orthonormal ``Q``.
+    The projection ``B_f = Q_f^H A_f`` is decomposed on the faces by Chan's
+    R-SVD (ACM TOMS 8, 1982): a QR ``B_f^H = P_f R_f`` and the SVD
+    ``R_f^H = U_R S V_R^H`` of a p x p face give ``u = Q U_R`` and
+    ``v = P V_R``.  The result does not depend on numpy's global random
+    state, and repeated calls give identical bits.
 
     Triplet j is trusted when ``|A_f v_j - s_j u_j|`` is at most
     ``PINV_RCOND`` times the largest singular value of face f on every face
@@ -207,8 +205,9 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     the count is of the leading run of trusted triplets.
     """
     n3 = a.n3
-    af = np.ascontiguousarray(_faces(a.data))
-    q = np.linalg.qr(_face_linalg(np.matmul, af, _test_faces(a.n2, p, n3)))[0]
+    af = _faces(a.data)
+    omega = _faces(np.random.default_rng(_TEST_TENSOR_SEED).standard_normal((a.n2, p, n3)))
+    q = np.linalg.qr(_face_linalg(np.matmul, af, omega))[0]
     for _ in range(_POWER_STEPS):
         # A^H Q as (Q^H A)^H, so that A's faces are never copied
         q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
@@ -219,17 +218,6 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
     trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
     return _time_factors(uf, sv, vf, n3), trusted
-
-
-@lru_cache(maxsize=4)
-def _test_faces(n2: int, p: int, n3: int) -> np.ndarray:
-    """The read-only, C-contiguous half-spectrum faces of the fixed-seed
-    Gaussian n2 x p x n3 test tensor of :func:`_leading_tsvd`, drawn from
-    their own generator once per shape."""
-    rng = np.random.default_rng(_TEST_TENSOR_SEED)
-    omega = np.ascontiguousarray(_faces(rng.standard_normal((n2, p, n3))))
-    omega.flags.writeable = False
-    return omega
 
 
 def _adjoint(faces: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from textrap import (
 )
 
 from textrap.tensor_core import _faces
-from textrap.tsvd import _MARGIN, _TEST_TENSOR_SEED, PINV_RCOND, _leading_tsvd, _test_faces
+from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
 
 RNG = np.random.default_rng(20240804)
 
@@ -274,24 +274,6 @@ def test_leading_tsvd_never_calls_tsvd(monkeypatch):
     monkeypatch.setattr(module, "tsvd", refuse)
     factors, trusted = _leading_tsvd(_geometric(64, 4, 0.5, seed=4), 16)
     assert factors.r == 16 and trusted == 16 - _MARGIN
-
-
-def test_test_faces_are_built_once_read_only_and_leave_the_global_rng_alone():
-    _test_faces.cache_clear()
-    np.random.seed(99)
-    before = np.random.get_state()
-    first = _test_faces(64, 16, 6)
-    _leading_tsvd(_geometric(64, 6, 0.5, seed=5), 16)
-    after = np.random.get_state()
-    assert before[0] == after[0] and np.array_equal(before[1], after[1])
-    assert before[2:] == after[2:]
-    assert _test_faces(64, 16, 6) is first
-    assert _test_faces.cache_info().misses == 1
-    assert not first.flags.writeable and first.flags.c_contiguous
-    with pytest.raises(ValueError):
-        first[0, 0, 0] = 0.0
-    draw = np.random.default_rng(_TEST_TENSOR_SEED).standard_normal((64, 16, 6))
-    assert first.tobytes() == np.ascontiguousarray(_faces(draw)).tobytes()
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 8])
