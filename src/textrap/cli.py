@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TextrapError
+from .errors import InvalidParameterError, TextrapError
 from .extrapolation import (
     METHODS,
     TensorSequence,
@@ -230,6 +230,8 @@ def cmd_tsvd(cfg: dict, rng) -> tuple[dict, int]:
 def cmd_solve(cfg: dict, rng) -> tuple[dict, int]:
     if cfg["a"] is None or cfg["b"] is None:
         raise UsageError("solve requires --a A.tns3 and --b B.tns3")
+    if cfg["k_max"] is not None and cfg["k_max"] < 1:
+        raise UsageError(f"k_max must be >= 1 (got {cfg['k_max']})")
     a = read_tns3(cfg["a"])
     b = read_tns3(cfg["b"])
     x_true = read_tns3(cfg["xtrue"]) if cfg["xtrue"] is not None else None
@@ -552,7 +554,7 @@ def main(argv=None) -> int:
         report["seed"] = cfg["seed"]
         _emit(report, args.report)
         return code
-    except UsageError as exc:
+    except (UsageError, InvalidParameterError) as exc:  # a parameter out of its domain
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TextrapError, OSError) as exc:

@@ -57,9 +57,11 @@ class SingularFaceError(TextrapError):
     Attributes
     ----------
     face_index : int or None
-        0-based index of the offending face, when known.
+        0-based index of the offending face, when known: for the refusal
+        rule, the face whose smallest singular value is least.
     cond : float or None
-        Condition-number estimate of that face, when available.
+        For the refusal rule, the largest singular value over all faces
+        divided by that face's smallest (inf if it is zero).
     """
 
     def __init__(self, message: str, face_index: int | None = None, cond: float | None = None):

@@ -38,6 +38,7 @@ from .stack_products import star
 from .tensor_core import (
     Stack4,
     Tensor3,
+    _adjoint,
     _face_linalg,
     _faces,
     _require_int,
@@ -47,7 +48,7 @@ from .tensor_core import (
     frobenius_norm,
     identity_tensor,
 )
-from .tproduct_algebra import tinverse, tprod
+from .tproduct_algebra import _refusal, tinverse, tprod
 
 __all__ = [
     "TensorSequence",
@@ -184,23 +185,13 @@ def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> S
 
     ``big`` is the (F, k*q, k*q) stack of half-spectrum faces of the block
     matrix (block row i, block column j) and ``rhs`` the (F, k*q, m) stack
-    of the stacked right-hand sides.  Every face system must pass the guard
-    (largest singular value nonzero, smallest above 1e-14 times the
-    largest); the first face that fails raises.  All faces are then solved
-    in one batched call.  Returns the stack of the k solution tensors of
-    dims (q, m, n3).
+    of the stacked right-hand sides.  Unless the one face rule refuses them
+    (see ``tinverse``), all faces are solved in one batched call.  Returns
+    the stack of the k solution tensors of dims (q, m, n3).
     """
     sv = _face_linalg(np.linalg.svd, big, compute_uv=False)
-    bad = np.flatnonzero((sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-14 * sv[:, 0]))
-    if bad.size:
-        f = int(bad[0])
-        cond = float(sv[f, 0] / sv[f, -1]) if sv[f, -1] > 0 else np.inf
-        raise SingularFaceError(
-            f"face {f} block system is singular to working precision "
-            f"(cond estimate {cond:.3e})",
-            face_index=f,
-            cond=cond,
-        )
+    if (error := _refusal(sv, "block system ")) is not None:
+        raise error
     solution = _unfaces(_face_linalg(np.linalg.solve, big, rhs), n3)
     return _wrap(Stack4, solution.data.reshape(k, -1, *solution.dims[1:]))
 
@@ -219,8 +210,7 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
     Raises
     ------
     SingularFaceError
-        If some face system is singular; carries face index and condition
-        estimate.
+        If the one face rule refuses the face systems (see ``tinverse``).
     """
     k = l.count
     if k == 0 or v.count != k:
@@ -231,7 +221,7 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
         raise DimensionMismatchError(
             f"beta system shapes disagree: l {l.dims}, v {v.dims}, rhs {rhs.dims}"
         )
-    lh = _faces(_stack_layout(l).data).conj().swapaxes(1, 2)
+    lh = _adjoint(_faces(_stack_layout(l).data))
     big = lh @ _faces(_stack_layout(v).data)
     return _solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3)
 
@@ -355,7 +345,7 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     if np.linalg.norm(delta._data) == 0.0:
         # converged window: E_k = S_n with vanishing coefficients
         return seq[n], _wrap(Stack4, np.zeros((k, n2, n2, n3)))
-    yh = _faces(y.data).conj().swapaxes(1, 2)
+    yh = _adjoint(_faces(y.data))
     # face blocks y^H D2S_m for every m side by side; block row j is the
     # window m = j .. j+k-1, so the rows are Hankel
     moments = yh @ _faces(_stack_layout(delta2).data)

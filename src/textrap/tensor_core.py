@@ -21,6 +21,15 @@ the half spectrum determines the tensor, and the inverse transform is real
 by construction.  No face format is exported; the full spectrum of a
 tensor ``t`` is ``np.fft.fft(t.data, axis=2)``.
 
+One rule refuses a face system (``tproduct_algebra._refusal``): a face's
+smallest singular value at or below ``INVERTIBILITY_THRESHOLD`` times the
+largest over all faces.  A time-domain tensor carries rounding of about
+``eps * |A|`` in every entry and the DFT spreads it over every face, so a
+face is known only to ``eps`` times the global largest value, not its own.
+The pseudo-inverse cut (``PINV_RCOND`` in ``tsvd._pseudo_invert_diagonal``)
+drops directions instead of refusing, so it stays per face, as
+``np.linalg.pinv`` and the loop oracles cut per matrix.
+
 A Stack4 (4-mode tensor) holds its members as one read-only
 ``(count, n1, n2, n3)`` array and a Stack5 (5-mode tensor) its blocks as
 one read-only ``(k, l, n1, n2, n3)`` array; members and blocks are
@@ -400,6 +409,11 @@ def fold(m, dims: tuple[int, int, int]) -> Tensor3:
 def _faces(data: np.ndarray) -> np.ndarray:
     """Half-spectrum faces of a real ``(m, n, n3)`` array as an ``(F, m, n)`` stack."""
     return np.moveaxis(np.fft.rfft(data, axis=2), 2, 0)
+
+
+def _adjoint(faces: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every face of an (F, m, n) stack."""
+    return faces.conj().swapaxes(1, 2)
 
 
 def _unfaces(faces: np.ndarray, n3: int) -> Tensor3:

@@ -10,8 +10,9 @@ batched ``np.linalg`` call.  This is equivalent to the block-circulant definitio
 instead of materializing the circulant.  ``bcirc`` itself stays in
 :mod:`textrap.tensor_core` as a capped test oracle.
 
-``tinverse`` decides through ``is_invertible``: one rule and one report lie
-behind both.  Pseudo-inverses and least squares live in :mod:`textrap.tsvd`.
+Every face system is refused by one rule, ``_refusal``, argued in
+:mod:`textrap.tensor_core`.  Pseudo-inverses and least squares live in
+:mod:`textrap.tsvd`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import DimensionMismatchError, SingularFaceError
 from .tensor_core import (
     Tensor3,
     TubalScalar,
+    _adjoint,
     _face_linalg,
     _faces,
     _full_spectrum,
@@ -47,10 +49,29 @@ __all__ = [
     "slice_product_entry",
 ]
 
-#: relative face-condition threshold below which a tensor counts as
-#: singular: a face's smallest singular value at or below it times the
-#: largest singular value over all faces
+#: a face system is singular when some face's smallest singular value is at
+#: or below this times the largest singular value over all faces
 INVERTIBILITY_THRESHOLD = 1e-12
+
+
+def _singular(sv: np.ndarray) -> np.ndarray:
+    """The one refusal rule over the leading axes of half-spectrum singular
+    values ``sv`` of shape ``(..., F, r)``, rows descending."""
+    return sv[..., -1].min(axis=-1) <= INVERTIBILITY_THRESHOLD * sv[..., 0].max(axis=-1)
+
+
+def _refusal(sv: np.ndarray, what: str = "") -> SingularFaceError | None:
+    """The error refusing a face system with singular values ``sv`` (``(F, r)``)
+    by :func:`_singular`, or None.  It names the face whose smallest value is
+    least; ``cond`` is the global largest over that value, the ratio compared."""
+    if not _singular(sv):
+        return None
+    face = int(np.argmin(sv[:, -1]))
+    smin, top = float(sv[face, -1]), float(np.max(sv[:, 0]))
+    return SingularFaceError(
+        f"{what}face {face} is singular to working precision "
+        f"(min sv {smin:.3e}, global max sv {top:.3e})",
+        face_index=face, cond=top / smin if smin > 0 else np.inf)
 
 
 def tprod(x: Tensor3, y: Tensor3) -> Tensor3:
@@ -94,7 +115,6 @@ class InvertibilityReport:
     """Per-face conditioning summary behind an invertibility decision."""
 
     invertible: bool
-    threshold: float
     face_min_sv: np.ndarray
     face_max_sv: np.ndarray
 
@@ -116,44 +136,27 @@ class InvertibilityReport:
         return self.invertible
 
 
-def is_invertible(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> InvertibilityReport:
-    """Decide invertibility from the DFT faces.
-
-    ``a`` is invertible exactly when every DFT face is nonsingular; the
-    numerical test is that the smallest singular value across all faces
-    exceeds ``threshold`` times the largest.  The report carries the
-    extremal singular values of all ``n3`` faces and is truthy iff
-    invertible.
-    """
+def is_invertible(a: Tensor3) -> InvertibilityReport:
+    """Decide invertibility from the DFT faces by the one face rule (see
+    ``_refusal``).  The report carries the extremal singular values of all
+    ``n3`` faces and is truthy iff invertible."""
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"invertibility needs square slices, got {a.dims}")
-    sv = _full_spectrum(_face_linalg(np.linalg.svd, _faces(a.data), compute_uv=False), a.n3)
-    ok = bool(np.min(sv[:, -1]) > threshold * np.max(sv[:, 0]))
-    return InvertibilityReport(ok, float(threshold), sv[:, -1], sv[:, 0])
+    sv = _face_linalg(np.linalg.svd, _faces(a.data), compute_uv=False)
+    full = _full_spectrum(sv, a.n3)
+    return InvertibilityReport(not _singular(sv), full[:, -1], full[:, 0])
 
 
-def tinverse(a: Tensor3, threshold: float = INVERTIBILITY_THRESHOLD) -> Tensor3:
-    """T-product inverse via batched per-face matrix inversion.
-
-    Raises
-    ------
-    SingularFaceError
-        If :func:`is_invertible` refuses ``a``: some face's smallest
-        singular value falls at or below ``threshold`` times the largest
-        singular value over all faces.  The error carries the face with the
-        smallest singular value and its condition estimate.
-    """
-    report = is_invertible(a, threshold)
-    if not report:
-        worst = int(np.argmin(report.face_min_sv))
-        raise SingularFaceError(
-            f"face {worst} is singular to working precision "
-            f"(min sv {report.face_min_sv[worst]:.3e}, "
-            f"global max sv {np.max(report.face_max_sv):.3e})",
-            face_index=worst,
-            cond=float(report.face_conds[worst]),
-        )
-    return _unfaces(_face_linalg(np.linalg.inv, _faces(a.data)), a.n3)
+def tinverse(a: Tensor3) -> Tensor3:
+    """T-product inverse via batched per-face matrix inversion.  Raises
+    ``SingularFaceError`` when :func:`is_invertible` refuses ``a``, naming
+    the face whose smallest singular value is least (see ``_refusal``)."""
+    if a.n1 != a.n2:
+        raise DimensionMismatchError(f"invertibility needs square slices, got {a.dims}")
+    faces = _faces(a.data)
+    if (error := _refusal(_face_linalg(np.linalg.svd, faces, compute_uv=False))) is not None:
+        raise error
+    return _unfaces(_face_linalg(np.linalg.inv, faces), a.n3)
 
 
 def tscalar_product(x: Tensor3, y: Tensor3) -> TubalScalar:
@@ -197,7 +200,7 @@ def is_positive_definite(a: Tensor3, *, semi: bool = False, tol: float = 1e-12) 
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"definiteness needs square slices, got {a.dims}")
     faces = _faces(a.data)
-    w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + faces.conj().swapaxes(1, 2)))
+    w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + _adjoint(faces)))
     eig_min = float(np.min(w[:, 0]))
     scale = float(np.max(np.abs(w)))
     if semi:

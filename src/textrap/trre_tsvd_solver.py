@@ -63,10 +63,9 @@ from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
     InvalidParameterError,
-    SingularFaceError,
 )
 from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
-from .tproduct_algebra import INVERTIBILITY_THRESHOLD, tprod, ttranspose
+from .tproduct_algebra import _refusal, _singular, tprod, ttranspose
 from .tsvd import TsvdFactors, _leading_tsvd, _pseudo_invert_diagonal, tsvd
 
 __all__ = [
@@ -282,9 +281,9 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
     theta = deltas.real**2 + deltas.imag**2
     sums = state.sum_faces[:, :, 0]
     shifted = theta + float(shift) if shift else theta
-    # step k inverts Theta_1 .. Theta_k; the path stops short of the first Theta
-    # that ``tinverse`` refuses (smallest face value <= threshold * largest)
-    singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
+    # step k inverts Theta_1 .. Theta_k; the path stops short of the first
+    # Theta refused by the one face rule (a Theta face is its own singular value)
+    singular = _singular(shifted[:, :, None])
     first_singular = int(np.argmax(singular)) if singular.any() else state.count
     last = min(state.count - 1, first_singular)  # steps 2 .. last are evaluated
     weights = 1.0 / shifted[:last]
@@ -310,13 +309,7 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
     step = max(2, first_singular + 1)
     if step < state.count:  # the path reaches the step that inverts it
         j = first_singular
-        face = int(np.argmin(shifted[j]))
-        smin, top = float(shifted[j, face]), float(np.max(shifted[j]))
-        error = SingularFaceError(
-            f"Theta_{j + 1} at step k={step}: face {face} is singular to working "
-            f"precision (min sv {smin:.3e}, global max sv {top:.3e})",
-            face_index=face, cond=top / smin if smin > 0 else np.inf,
-        )
+        error = _refusal(shifted[j, :, None], f"Theta_{j + 1} at step k={step}: ")
         return None, None, None, None, step + 1, error
     return t, res, eta, t_norms, None, None
 
@@ -369,8 +362,8 @@ def solve(
     ``b`` must have one column; solve a wider right-hand side one column at
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
     every face (``shift=None`` adds nothing); the first step that inverts a
-    Theta singular by the ``tinverse`` rule raises ``SingularFaceError``
-    unless the tolerance stopped the path before it.  A non-finite entry in
+    Theta refused by the one face rule raises ``SingularFaceError`` unless
+    the tolerance stopped the path before it.  A non-finite entry in
     ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
     ``x_true`` before any work.  A NaN or negative ``tol_eps``, and a
     ``shift`` that is NaN, infinite or negative, raise

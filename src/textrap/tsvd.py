@@ -34,6 +34,7 @@ from .errors import DimensionMismatchError
 from .tensor_core import (
     Tensor3,
     TubalScalar,
+    _adjoint,
     _face_linalg,
     _faces,
     _full_spectrum,
@@ -143,7 +144,7 @@ def _face_svd(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shapes (F, m, r), (F, r) and (F, n, r) with ``face = uf sv vf^H`` and
     each row of ``sv`` sorted descending."""
     uf, sv, vh = _face_linalg(np.linalg.svd, faces, full_matrices=False)
-    return uf, sv, vh.conj().swapaxes(1, 2)
+    return uf, sv, _adjoint(vh)
 
 
 def _pseudo_invert_diagonal(sv: np.ndarray) -> np.ndarray:
@@ -159,7 +160,7 @@ def _pseudo_invert_diagonal(sv: np.ndarray) -> np.ndarray:
 def _face_pinv(uf: np.ndarray, sv: np.ndarray, vf: np.ndarray) -> np.ndarray:
     """Pseudo-inverse faces ``(vf s^+) @ uf^H`` of :func:`_face_svd` factors,
     possibly truncated to their leading columns."""
-    return (vf * _pseudo_invert_diagonal(sv)[:, None, :]) @ uf.conj().swapaxes(1, 2)
+    return (vf * _pseudo_invert_diagonal(sv)[:, None, :]) @ _adjoint(uf)
 
 
 def _time_factors(uf: np.ndarray, sv: np.ndarray, vf: np.ndarray, n3: int) -> TsvdFactors:
@@ -218,11 +219,6 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
     trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
     return _time_factors(uf, sv, vf, n3), trusted
-
-
-def _adjoint(faces: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every face of an (F, m, n) stack."""
-    return faces.conj().swapaxes(1, 2)
 
 
 def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:

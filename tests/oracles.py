@@ -207,18 +207,27 @@ def loop_tls_solve(a: np.ndarray, b: np.ndarray, rcond: float = 1e-13) -> np.nda
     return _inverse_dft(out)
 
 
-def loop_tinverse(data: np.ndarray, threshold: float = 1e-12) -> np.ndarray:
-    """Per-face inverse after the rule: the face whose smallest singular
-    value is least must stay above ``threshold`` times the largest singular
-    value over all faces, else SingularFaceError names that face."""
+def _refuse_singular(sv: np.ndarray) -> None:
+    """The refusal rule on a table of per-face singular values (one row per
+    face, rows descending): the face whose smallest singular value is least
+    must stay above ``INVERTIBILITY_THRESHOLD`` times the largest singular
+    value over all faces, else SingularFaceError names that face, with
+    ``cond`` the ratio of the two."""
+    worst = int(np.argmin(sv[:, -1]))
+    smin, top = sv[worst, -1], np.max(sv[:, 0])
+    if smin <= INVERTIBILITY_THRESHOLD * top:
+        cond = top / smin if smin > 0 else np.inf
+        raise SingularFaceError(f"face {worst} is singular", face_index=worst, cond=cond)
+
+
+def loop_tinverse(data: np.ndarray) -> np.ndarray:
+    """Per-face inverse after the refusal rule (see ``_refuse_singular``)."""
     n3 = data.shape[2]
     faces = np.fft.fft(data, axis=2)
     sv = np.empty((n3, data.shape[0]))
     for f in _half(n3):
         sv[f] = sv[(n3 - f) % n3] = np.linalg.svd(faces[:, :, f], compute_uv=False)
-    worst = int(np.argmin(sv[:, -1]))
-    if sv[worst, -1] <= threshold * np.max(sv[:, 0]):
-        raise SingularFaceError(f"face {worst} is singular", face_index=worst)
+    _refuse_singular(sv)
     out = np.empty_like(faces)
     for f in _half(n3):
         out[:, :, f] = np.linalg.inv(faces[:, :, f])
@@ -239,23 +248,23 @@ def loop_positive_definite(data: np.ndarray, semi: bool = False, tol: float = 1e
 
 def loop_beta_system(l, v, rhs) -> list:
     """Solve sum_j (l_i^T * v_j) * beta_j = -(l_i^T * rhs) one face at a
-    time, after the guard: the first face whose block matrix has smallest
-    singular value at most 1e-14 times its largest raises."""
+    time, after the refusal rule on the block matrices of all faces (see
+    ``_refuse_singular``)."""
     k = len(l)
     n3 = rhs.shape[2]
     q, m = l[0].shape[1], rhs.shape[1]
     lf = [np.fft.fft(x, axis=2) for x in l]
     vf = [np.fft.fft(x, axis=2) for x in v]
     rf = np.fft.fft(rhs, axis=2)
+    bigs, rights = [], []
+    for f in _half(n3):
+        bigs.append(np.block([[lf[i][:, :, f].conj().T @ vf[j][:, :, f] for j in range(k)]
+                              for i in range(k)]))
+        rights.append(np.vstack([-lf[i][:, :, f].conj().T @ rf[:, :, f] for i in range(k)]))
+    _refuse_singular(np.array([np.linalg.svd(big, compute_uv=False) for big in bigs]))
     xf = np.empty((k * q, m, n3), dtype=np.complex128)
     for f in _half(n3):
-        big = np.block([[lf[i][:, :, f].conj().T @ vf[j][:, :, f] for j in range(k)]
-                        for i in range(k)])
-        right = np.vstack([-lf[i][:, :, f].conj().T @ rf[:, :, f] for i in range(k)])
-        sv = np.linalg.svd(big, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-14 * sv[0]:
-            raise SingularFaceError(f"face {f} block system is singular", face_index=f)
-        xf[:, :, f] = np.linalg.solve(big, right)
+        xf[:, :, f] = np.linalg.solve(bigs[f], rights[f])
     sol = _inverse_dft(xf)
     return [sol[j * q : (j + 1) * q] for j in range(k)]
 

@@ -475,18 +475,32 @@ def test_solve_non_finite_rhs_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("shift", "nan"), ("shift", "-1e-3"), ("shift", "inf"), ("tol", "nan")]
+    "flag, value",
+    [("shift", "nan"), ("shift", "-1e-3"), ("shift", "-1"), ("shift", "inf"),
+     ("tol", "nan"), ("tol", "-1"), ("k-max", "0"), ("k-max", "-2")],
 )
-def test_solve_invalid_shift_or_tol_is_runtime_error(tmp_path, capsys, flag, value):
+def test_solve_parameter_out_of_its_domain_is_usage_error(tmp_path, capsys, flag, value):
     gen = gen_problem(tmp_path, capsys, dims="4,4,3")
     code, report, err = run_cli(
         ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], f"--{flag}={value}",
          "--output", tmp_path / "tk.tns3"], capsys
     )
-    assert code == 1 and report is None
-    name = "shift" if flag == "shift" else "tol_eps"
-    assert err.startswith("error:") and f"{name} must be" in err
+    assert code == 2 and report is None
+    name = {"shift": "shift", "tol": "tol_eps", "k-max": "k_max"}[flag]
+    assert err.startswith("usage error:") and f"{name} must be" in err
     assert not (tmp_path / "tk.tns3").exists()
+
+
+def test_k_max_below_one_from_a_config_is_usage_error(tmp_path, capsys):
+    gen = gen_problem(tmp_path, capsys, dims="4,4,3")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k_max": 0}))
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], "--config", config,
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "k_max must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------

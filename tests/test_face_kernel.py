@@ -10,6 +10,8 @@ checked against the DFT by quadratic summation.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bcirc_pinv_apply,
@@ -56,6 +58,7 @@ from textrap import (
     tubal_rank,
 )
 from textrap.tensor_core import _faces, _unfaces
+from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
 from textrap.trre_tsvd_solver import _parseval_weights
 
 N3S = (1, 2, 3, 4, 7, 8)
@@ -165,18 +168,24 @@ def test_singular_face_index_matches_loop_oracles(n3):
     assert got.value.face_index == want.value.face_index == bad[-1]
     assert not is_invertible(Tensor3(a))
 
-    # the block systems name the first failing face
+    # the block system names the face whose smallest singular value is least,
+    # not the first refused one: face bad[0] is near singular (its columns
+    # differ by 1e-13) and face bad[-1] exactly so
     l = [from_faces(random_faces(6, 2, n3), n3) for _ in range(2)]
     wf = [random_faces(6, 2, n3) for _ in range(2)]
-    wf[1][:, :, bad] = wf[0][:, :, bad]
+    wf[1][:, :, bad[0]] = wf[0][:, :, bad[0]] + 1e-13 * random_faces(6, 2, 1)[:, :, 0]
+    wf[1][:, :, bad[-1]] = wf[0][:, :, bad[-1]]
     w = [from_faces(x, n3) for x in wf]
     rhs = rand(6, 2, n3)
     with pytest.raises(SingularFaceError) as got:
         solve_beta_system(Stack4(l), Stack4(w), Tensor3(rhs))
     with pytest.raises(SingularFaceError) as want:
         loop_beta_system(l, w, rhs)
-    assert got.value.face_index == want.value.face_index == bad[0]
+    assert got.value.face_index == want.value.face_index == bad[-1]
+    assert got.value.cond >= 1.0 / INVERTIBILITY_THRESHOLD
 
+    # the grid left inverse keeps its own residual test, which names the
+    # first rank-deficient face
     gf = [[random_faces(3, 1, n3) for _ in range(3)] for _ in range(2)]
     for j in range(3):
         gf[1][j][:, :, bad] = gf[0][j][:, :, bad]
@@ -186,6 +195,93 @@ def test_singular_face_index_matches_loop_oracles(n3):
     with pytest.raises(SingularFaceError) as want:
         loop_left_inverse(grid)
     assert got.value.face_index == want.value.face_index == bad[0]
+
+
+def test_block_system_refused_against_the_largest_face_value():
+    # k = 1, n3 = 2: face 1 of the block matrix is face 0 times
+    # 1e-3 * diag(1, 1e-10).  Face 1's own condition is 1e10, so a per-face
+    # test at 1e-14 passes it; its smallest value is 1e-13 of the largest
+    # over both faces, so the one rule refuses it
+    q = np.linalg.qr(rand(2, 2))[0]
+    v = from_faces(np.stack([q, q @ (1e-3 * np.diag([1.0, 1e-10]))], axis=-1), 2)
+    l = identity_tensor(2, 2).data
+    rhs = rand(2, 2, 2)
+    with pytest.raises(SingularFaceError) as got:
+        solve_beta_system(Stack4([l]), Stack4([v]), Tensor3(rhs))
+    with pytest.raises(SingularFaceError) as want:
+        loop_beta_system([l], [v], rhs)
+    assert got.value.face_index == want.value.face_index == 1
+    assert got.value.cond == pytest.approx(1e13, rel=1e-2)
+    assert str(got.value).startswith("block system face 1 is singular to working precision")
+    with pytest.raises(SingularFaceError) as inverse:
+        tinverse(Tensor3(v))
+    assert inverse.value.face_index == 1
+
+
+def unitary_faces(rng, n, n3):
+    """Random unitary faces, real orthogonal on the self-conjugate faces 0
+    and n3/2, as an (n, n, F) half-spectrum stack."""
+    out = []
+    for f in range(n3 // 2 + 1):
+        z = rng.standard_normal((n, n))
+        if f and 2 * f != n3:
+            z = z + 1j * rng.standard_normal((n, n))
+        out.append(np.linalg.qr(z)[0])
+    return np.stack(out, axis=-1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    n3=st.sampled_from([1, 2, 3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+    spreads=st.lists(st.floats(0.0, 24.0), min_size=3, max_size=3),
+)
+def test_refusal_follows_the_one_rule(n, n3, seed, scales, spreads):
+    # face f of the system is U_f diag(sv_f) V_f^H with largest singular value
+    # 10**scales[f] and smallest 10**(scales[f] - spreads[f])
+    rng = np.random.default_rng(seed)
+    count = n3 // 2 + 1
+    sv = np.array([10.0 ** (scales[f] - spreads[f] * np.linspace(0.0, 1.0, n))
+                   for f in range(count)])
+    top, least = sv[:, 0].max(), sv[:, -1].min()
+    ratio = least / top
+    assume(not INVERTIBILITY_THRESHOLD / 2 < ratio < 2 * INVERTIBILITY_THRESHOLD)
+    u, w, q = (unitary_faces(rng, n, n3) for _ in range(3))
+    faces = np.einsum("ijf,fj,kjf->ikf", u, sv, w.conj())
+    a = from_faces(faces, n3)
+    # the block matrix of l = Q and v = Q M is Q^H Q M = M on every face
+    l = from_faces(q, n3)
+    v = from_faces(np.einsum("ijf,jkf->ikf", q, faces), n3)
+    rhs = rng.standard_normal((n, n, n3))
+    # the face the rule names, when rounding (about 1e-16 of the largest
+    # value) cannot reorder the smallest values
+    second = np.sort(sv[:, -1])[1] if count > 1 else np.inf
+    named = int(np.argmin(sv[:, -1])) if second > 10 * max(least, 1e-14 * top) else None
+    systems = (
+        (lambda: tinverse(Tensor3(a)).data, lambda: loop_tinverse(a)),
+        (lambda: solve_beta_system(Stack4([l]), Stack4([v]), Tensor3(rhs))[0].data,
+         lambda: loop_beta_system([l], [v], rhs)[0]),
+    )
+    if ratio <= INVERTIBILITY_THRESHOLD:
+        assert not is_invertible(Tensor3(a))
+        for call, oracle in systems:
+            with pytest.raises(SingularFaceError) as got:
+                call()
+            with pytest.raises(SingularFaceError) as want:
+                oracle()
+            assert got.value.cond >= 1.0 / INVERTIBILITY_THRESHOLD
+            if named is not None:
+                assert got.value.face_index == want.value.face_index == named
+        return
+    assert is_invertible(Tensor3(a))
+    # both sides invert faces known to about eps times the largest value, so
+    # they agree to eps over the rule's ratio, relative to the result
+    for call, oracle in systems:
+        got, want = call(), oracle()
+        bound = 1e3 * np.finfo(float).eps / ratio * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= bound
 
 
 @pytest.mark.parametrize("n3", N3S)

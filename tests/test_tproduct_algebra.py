@@ -19,7 +19,6 @@ from textrap import (
     tsvd,
     ttranspose,
 )
-from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
 
 RNG = np.random.default_rng(20240802)
 
@@ -157,14 +156,6 @@ def test_tinverse_raises_from_the_is_invertible_report():
         assert info.value.face_index == worst
         assert info.value.cond == report.face_conds[worst] == np.inf
         assert str(info.value).startswith(f"face {worst} is singular to working precision")
-
-
-def test_invertibility_threshold_override():
-    a = well_conditioned(3, 4)
-    assert is_invertible(a).threshold == INVERTIBILITY_THRESHOLD == 1e-12
-    assert not is_invertible(a, threshold=0.999999)
-    with pytest.raises(SingularFaceError):
-        tinverse(a, threshold=0.999999)
 
 
 # ---------------------------------------------------------------------------
