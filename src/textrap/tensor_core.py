@@ -42,7 +42,10 @@ All slice and face indices in this package are 0-based.
 from __future__ import annotations
 
 import math
+import os
+import queue
 import struct
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -441,6 +444,20 @@ def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
     return half[np.minimum(f, n3 - f)]
 
 
+def _refuse_non_finite(name: str, *stacks: np.ndarray) -> None:
+    """Refuse ``(F, m, n)`` face stacks, passed to ``name``, that hold a
+    non-finite entry: ``FaceSvdError`` names the first face with one."""
+    finite = np.isfinite(stacks[0]).all(axis=(1, 2))
+    for stack in stacks[1:]:
+        finite &= np.isfinite(stack).all(axis=(1, 2))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise FaceSvdError(
+            f"{name} refused: face {bad[0]} has non-finite entries",
+            face_index=int(bad[0]),
+        )
+
+
 def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):
     """``fn(faces, *args, **kwargs)`` for a batched ``np.linalg`` routine.
 
@@ -450,20 +467,106 @@ def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):
     become ``FaceSvdError``, naming the first non-finite face when there is
     one.
     """
-    finite = np.isfinite(faces).all(axis=(1, 2))
-    for arg in args:
-        if isinstance(arg, np.ndarray):
-            finite &= np.isfinite(arg).all(axis=(1, 2))
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise FaceSvdError(
-            f"{fn.__name__} refused: face {bad[0]} has non-finite entries",
-            face_index=int(bad[0]),
-        )
+    _refuse_non_finite(fn.__name__, faces, *(arg for arg in args if isinstance(arg, np.ndarray)))
     try:
         return fn(faces, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise FaceSvdError(f"{fn.__name__} failed on the DFT faces: {exc}") from exc
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: ``(size, jobs)``: the number of helper threads of :func:`_face_split` and
+#: the queue they take jobs from, made on first use and dropped in a forked
+#: child, which inherits the queue but none of the threads.  A plain queue,
+#: not ``concurrent.futures``: importing that (and ``logging`` with it) added
+#: about 0.6 MiB to the peak memory of a process that solves
+_helpers: tuple[int, queue.SimpleQueue] | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper(jobs: queue.SimpleQueue) -> None:
+    """Run the jobs put on ``jobs`` for good."""
+    while True:
+        _run(*jobs.get())
+
+
+def _run(index: int, kernel, faces: list, done: queue.SimpleQueue) -> None:
+    """Put ``(index, kernel(*faces), None)``, or ``(index, None, error)``,
+    on ``done``.  A function of its own, so that an idle helper holds no
+    reference to the faces of its last job."""
+    try:
+        done.put((index, kernel(*faces), None))
+    except BaseException as exc:  # the caller raises it again
+        done.put((index, None, exc))
+
+
+def _helper_jobs(size: int) -> queue.SimpleQueue:
+    """The job queue of at least ``size`` helper threads.  They are daemon
+    threads, idle on the queue between jobs, so they end with the process."""
+    global _helpers
+    with _helpers_lock:
+        started, jobs = _helpers or (0, queue.SimpleQueue())
+        for _ in range(started, size):
+            threading.Thread(target=_helper, args=(jobs,), name="textrap-faces", daemon=True).start()
+        _helpers = (max(started, size), jobs)
+        return jobs
+
+
+def _drop_helpers() -> None:
+    # the lock too: another thread may have held it at the fork
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _face_split(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``kernel(*stacks)`` with the faces split over all usable CPUs.
+
+    ``kernel`` maps ``(F, ...)`` face stacks to a tuple of ``(F, ...)``
+    arrays and treats every face on its own, as numpy's batched ``matmul``,
+    ``qr`` and ``svd`` do.  The faces are split into min(F, usable CPUs)
+    contiguous ranges; the calling thread runs the first (a longest one), a
+    persistent pool of helper threads the others, and the outputs are
+    joined along the face axis.  Those numpy routines release the GIL, so
+    the ranges run at once, and every face goes through the same calls as
+    in one call on all faces, so the result has the same bits for any number
+    of CPUs.  On one CPU the kernel runs once, on the calling thread.
+
+    A face stack with a non-finite face is refused as in
+    :func:`_face_linalg`, before any range starts.  An exception raised in a
+    range reaches the caller unchanged, once every range has finished.
+    ``kernel`` must not call ``_face_split`` itself: with every helper
+    thread waiting on a range of its own, that range would never start.
+    """
+    _refuse_non_finite(kernel.__name__, *stacks)
+    count = len(stacks[0])
+    parts = min(count, _usable_cpus())
+    if parts == 1:
+        return kernel(*stacks)
+    # the first range is never the shorter: the helpers start later
+    bounds = [-(-count * i // parts) for i in range(parts + 1)]
+    ranges = [[stack[lo:hi] for stack in stacks] for lo, hi in zip(bounds, bounds[1:])]
+    jobs, done = _helper_jobs(parts - 1), queue.SimpleQueue()
+    for index, faces in enumerate(ranges[1:], 1):
+        jobs.put((index, kernel, faces, done))
+    try:
+        outputs = [kernel(*ranges[0])]
+    finally:
+        finished = sorted((done.get() for _ in ranges[1:]), key=lambda job: job[0])
+    for _, _, error in finished:
+        if error is not None:
+            raise error
+    outputs += [out for _, out, _ in finished]
+    return tuple(np.concatenate(joined) for joined in zip(*outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -120,13 +120,18 @@ class InvertibilityReport:
 
     @property
     def ratio(self) -> float:
-        """Smallest singular value over largest, across all faces."""
+        """Smallest singular value over largest, across all faces: the
+        quantity the refusal rule compares (see ``_refusal``).  A refusal's
+        ``SingularFaceError.cond`` is ``1 / ratio``."""
         top = float(np.max(self.face_max_sv))
         return float(np.min(self.face_min_sv)) / top if top > 0 else 0.0
 
     @property
     def face_conds(self) -> np.ndarray:
-        """Condition estimate per face (inf where a face is exactly singular)."""
+        """Condition estimate per face, each face against its own largest
+        singular value (inf where a face is exactly singular).  The refusal
+        rule does not use it: a face is refused against the largest value
+        over all faces, by :attr:`ratio`."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(
                 self.face_min_sv > 0, self.face_max_sv / self.face_min_sv, np.inf

@@ -20,6 +20,17 @@ the same half-spectrum faces and decomposes the small projection by an
 R-SVD on the faces, so no factor is transformed back until it returns
 ordinary ``TsvdFactors``, together with how many of its leading triplets
 can be trusted.
+
+That per-face work (the power steps, the R-SVD and the triplet residuals)
+runs through ``tensor_core._face_split``: the faces are split into
+min(F, usable CPUs) contiguous ranges, the calling thread runs one and a
+persistent pool of helper threads the others.  The CPU count is the
+process's CPU affinity; there is no option, and on one CPU the same code
+runs a single range on the calling thread.  Each face goes through the same
+numpy calls as without the split, so the results are bit-identical for any
+CPU count (at one BLAS thread setting: BLAS may round differently with
+another).  BLAS threads multiply with these threads: n BLAS threads per
+call may mean n x (usable CPUs) threads in all.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .tensor_core import (
     TubalScalar,
     _adjoint,
     _face_linalg,
+    _face_split,
     _faces,
     _full_spectrum,
     _require_finite,
@@ -182,6 +194,27 @@ def tsvd(a: Tensor3) -> TsvdFactors:
     return _time_factors(*_face_svd(_faces(a.data)), a.n3)
 
 
+def _range_finder(af: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-face body of :func:`_leading_tsvd` on a range of faces: for
+    operator faces ``af`` and test-tensor faces ``omega``, the face factors
+    ``(uf, sv, vf)`` of the leading triplets and their residuals
+    ``|A_f v_j - s_j u_j|``, shape (F, p)."""
+    if not (af[0].flags.c_contiguous or af[0].flags.f_contiguous):
+        # strided faces (those of a C-ordered operator) would run every
+        # product below on numpy's own loops instead of BLAS
+        af = np.ascontiguousarray(af)
+    q = np.linalg.qr(af @ omega)[0]
+    for _ in range(_POWER_STEPS):
+        # A^H Q as (Q^H A)^H, so that A's faces are never copied
+        q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
+    pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
+    ur, sv, vr = _face_svd(_adjoint(rf))
+    uf, vf = q @ ur, pf @ vr
+    # a helper thread's malloc arena keeps its peak, so free what is done
+    del q, pf
+    return uf, sv, vf, np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
+
+
 def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     """The leading ``p`` singular triplets of every face of ``a``, and how
     many of them are trusted.
@@ -206,16 +239,8 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     the count is of the leading run of trusted triplets.
     """
     n3 = a.n3
-    af = _faces(a.data)
     omega = _faces(np.random.default_rng(_TEST_TENSOR_SEED).standard_normal((a.n2, p, n3)))
-    q = np.linalg.qr(_face_linalg(np.matmul, af, omega))[0]
-    for _ in range(_POWER_STEPS):
-        # A^H Q as (Q^H A)^H, so that A's faces are never copied
-        q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
-    pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
-    ur, sv, vr = _face_svd(_adjoint(rf))
-    uf, vf = q @ ur, pf @ vr
-    residual = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
+    uf, sv, vf, residual = _face_split(_range_finder, _faces(a.data), omega)
     ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
     trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
     return _time_factors(uf, sv, vf, n3), trusted

@@ -216,6 +216,11 @@ def test_block_system_refused_against_the_largest_face_value():
     with pytest.raises(SingularFaceError) as inverse:
         tinverse(Tensor3(v))
     assert inverse.value.face_index == 1
+    # the report's per-face condition is not what refused the face: the
+    # refusal's cond is the global ratio's reciprocal
+    report = is_invertible(Tensor3(v))
+    assert report.face_conds[1] == pytest.approx(1e10, rel=1e-2)
+    assert inverse.value.cond == pytest.approx(1 / report.ratio, rel=1e-14)
 
 
 def unitary_faces(rng, n, n3):

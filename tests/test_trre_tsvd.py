@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from textrap import (
     ttsvd,
 )
 
-from textrap import trre_tsvd_solver
+from textrap import tensor_core, trre_tsvd_solver
 from textrap.trre_tsvd_solver import _sequence
 from textrap.tsvd import PINV_RCOND, _leading_tsvd
 
@@ -852,6 +854,31 @@ def test_truncated_attempt_does_not_depend_on_the_memory_layout_of_a():
         assert report.kept_indices == first.kept_indices and report.triplets == first.triplets
         gap = np.linalg.norm(report.t_k.data - first.t_k.data)
         assert gap <= 1e-12 * np.linalg.norm(first.t_k.data)
+
+
+def _solve_in_child(a, b, want):
+    report = solve(a, b, tol_eps=1e-3)
+    assert report.triplets == 16
+    assert report.t_k.data.tobytes() == want
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_forked_child_runs_the_truncated_attempt(monkeypatch):
+    # the parent's helper threads are running; the child inherits none of
+    # them and must start its own
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+    a, b, _, _ = smooth_spectral_problem(64, 6, 0.5, 0.2, np.random.default_rng(16))
+    report = solve(a, b, tol_eps=1e-3)
+    assert report.triplets == 16
+    child = multiprocessing.get_context("fork").Process(
+        target=_solve_in_child, args=(a, b, report.t_k.data.tobytes()))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child did not finish its solve")
+    assert child.exitcode == 0
 
 
 def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):

@@ -1,5 +1,9 @@
 import importlib
 import json
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,8 +28,11 @@ from textrap import (
     truncated_expansion,
 )
 
+from textrap import tensor_core
 from textrap.tensor_core import _faces
 from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
+
+tsvd_module = importlib.import_module("textrap.tsvd")
 
 RNG = np.random.default_rng(20240804)
 
@@ -288,3 +295,115 @@ def test_trusted_triplets_meet_the_bound_from_the_returned_tensors(n3, rate):
     sv = factors.face_singular_values[: n3 // 2 + 1]
     residual = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)[:, :trusted]
     assert np.all(residual <= PINV_RCOND * sv[:, :1])
+
+
+# ---------------------------------------------------------------------------
+# the range finder's faces split over the usable CPUs
+
+
+@pytest.mark.parametrize("n3", [1, 6, 7])
+def test_leading_tsvd_has_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
+    a = _geometric(64, n3, 0.5, seed=n3)
+    calls = []  # (thread, number of faces) of every range
+    kernel = tsvd_module._range_finder
+
+    def recorded(af, omega):
+        calls.append((threading.current_thread(), len(af)))
+        return kernel(af, omega)
+
+    recorded.__name__ = kernel.__name__
+    monkeypatch.setattr(tsvd_module, "_range_finder", recorded)
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda cpus=cpus: cpus)
+        calls.clear()
+        results[cpus] = _leading_tsvd(a, 16)
+        parts = min(n3 // 2 + 1, cpus)
+        # ranges that cover every face, one on this thread and the others
+        # on helper threads
+        assert len(calls) == parts and sum(count for _, count in calls) == n3 // 2 + 1
+        assert [thread for thread, _ in calls].count(threading.current_thread()) == 1
+    (want, trusted), *others = results.values()
+    assert trusted == 16 - _MARGIN
+    for got, got_trusted in others:
+        assert got_trusted == trusted
+        for name in ("u", "s", "v"):
+            assert np.array_equal(getattr(got, name).data, getattr(want, name).data)
+        assert np.array_equal(got.face_singular_values, want.face_singular_values)
+
+
+def test_one_face_starts_no_helper_thread(monkeypatch):
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+    factors, trusted = _leading_tsvd(_geometric(64, 1, 0.5, seed=1), 16)
+    assert factors.r == 16 and trusted == 16 - _MARGIN
+
+
+def _refuse_helpers(size):
+    raise AssertionError("a helper thread was asked for")
+
+
+class _HelperRangeError(Exception):
+    pass
+
+
+def test_an_error_in_a_helper_range_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+    kernel = tsvd_module._range_finder
+    finished = []
+
+    def fails_off_the_calling_thread(af, omega):
+        if threading.current_thread() is not threading.main_thread():
+            raise _HelperRangeError(len(af))
+        out = kernel(af, omega)
+        finished.append(len(af))
+        return out
+
+    fails_off_the_calling_thread.__name__ = kernel.__name__
+    monkeypatch.setattr(tsvd_module, "_range_finder", fails_off_the_calling_thread)
+    with pytest.raises(_HelperRangeError) as info:
+        _leading_tsvd(_geometric(64, 8, 0.5, seed=8), 16)
+    assert finished == [3] and info.value.args == (2,)
+
+
+def test_a_non_finite_operator_is_refused_before_any_range_starts(monkeypatch):
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+    data = _geometric(64, 6, 0.5, seed=6).data.copy()
+    data[3, 5, 4] = np.nan
+    with pytest.raises(FaceSvdError) as info:
+        _leading_tsvd(Tensor3(data), 16)
+    assert info.value.face_index == 0
+
+
+def test_concurrent_callers_share_the_helper_threads(monkeypatch):
+    # more callers and ranges than cores, with a short switch interval
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 3)
+    a = _geometric(64, 8, 0.5, seed=10)
+    want, _ = _leading_tsvd(a, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(_leading_tsvd, a, 16) for _ in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, trusted in results:
+        assert trusted == 16 - _MARGIN
+        assert np.array_equal(got.u.data, want.u.data)
+        assert np.array_equal(got.v.data, want.v.data)
+
+
+def test_the_interpreter_exits_with_helper_threads_idle():
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from textrap import tensor_core\n"
+        "tensor_core._usable_cpus = lambda: 2\n"
+        "tensor_core._face_split(lambda faces: (faces,), np.ones((3, 2, 2)))\n"
+        "print(threading.active_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
