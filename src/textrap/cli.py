@@ -38,6 +38,8 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
+    _faces,
+    _unfaces,
     _wrap,
     bcirc,
     fold,
@@ -50,7 +52,7 @@ from .tensor_core import (
 )
 from .tproduct_algebra import check_moore_penrose, tinverse, tprod, ttranspose
 from .trre_tsvd_solver import DEFAULT_THETA_SHIFT, build_sequence, solve
-from .tsvd import save_factors, tls_solve, tsvd, ttsvd
+from .tsvd import _face_svd, save_factors, tls_solve, tsvd, ttsvd
 
 PROFILES = ("geometric", "algebraic")
 MUTATIONS = ("none", "bcirc-sign")
@@ -122,7 +124,8 @@ def _emit(report: dict, path) -> None:
 
 
 def _random_orthogonal(n: int, n3: int, rng) -> Tensor3:
-    return tsvd(Tensor3(rng.standard_normal((n, n, n3)))).u
+    """The ``u`` of the T-SVD of a Gaussian tensor; ``s`` and ``v`` are not formed."""
+    return _unfaces(_face_svd(_faces(rng.standard_normal((n, n, n3))))[0], n3)
 
 
 def _singular_profile(profile: str, rate: float, r: int) -> np.ndarray:

@@ -496,14 +496,15 @@ def _helper(jobs: queue.SimpleQueue) -> None:
         _run(*jobs.get())
 
 
-def _run(index: int, kernel, faces: list, done: queue.SimpleQueue) -> None:
-    """Put ``(index, kernel(*faces), None)``, or ``(index, None, error)``,
-    on ``done``.  A function of its own, so that an idle helper holds no
-    reference to the faces of its last job."""
+def _run(index: int, kernel, lo: int, hi: int, done: queue.SimpleQueue) -> None:
+    """Put ``(index, None)``, or ``(index, error)`` if ``kernel(lo, hi)``
+    raised, on ``done``.  A function of its own, so that an idle helper holds
+    no reference to the kernel of its last job."""
     try:
-        done.put((index, kernel(*faces), None))
+        kernel(lo, hi)
+        done.put((index, None))
     except BaseException as exc:  # the caller raises it again
-        done.put((index, None, exc))
+        done.put((index, exc))
 
 
 def _helper_jobs(size: int) -> queue.SimpleQueue:
@@ -528,45 +529,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helpers)
 
 
-def _face_split(kernel, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``kernel(*stacks)`` with the faces split over all usable CPUs.
+def _face_split(kernel, count: int) -> None:
+    """Run ``kernel(lo, hi)`` over ``0 .. count`` split on all usable CPUs.
 
-    ``kernel`` maps ``(F, ...)`` face stacks to a tuple of ``(F, ...)``
-    arrays and treats every face on its own, as numpy's batched ``matmul``,
-    ``qr`` and ``svd`` do.  The faces are split into min(F, usable CPUs)
-    contiguous ranges; the calling thread runs the first (a longest one), a
-    persistent pool of helper threads the others, and the outputs are
-    joined along the face axis.  Those numpy routines release the GIL, so
-    the ranges run at once, and every face goes through the same calls as
-    in one call on all faces, so the result has the same bits for any number
-    of CPUs.  On one CPU the kernel runs once, on the calling thread.
+    The indices (faces, or rows of a tensor) are split into
+    min(count, usable CPUs) contiguous ranges; the calling thread runs the
+    first (a longest one), a persistent pool of helper threads the others,
+    and the call returns once every range has finished.  ``kernel`` writes
+    its results into arrays the caller allocated and treats every index on
+    its own, as numpy's batched ``matmul``, ``qr`` and ``svd`` treat faces
+    and ``np.fft.rfft`` its lanes.  Those routines release the GIL, so the
+    ranges run at once, and every index goes through the same calls as in
+    one call on all of them, so the results have the same bits for any
+    number of CPUs.  On one CPU the kernel runs once, on the calling thread.
 
-    A face stack with a non-finite face is refused as in
-    :func:`_face_linalg`, before any range starts.  An exception raised in a
-    range reaches the caller unchanged, once every range has finished.
-    ``kernel`` must not call ``_face_split`` itself: with every helper
-    thread waiting on a range of its own, that range would never start.
+    An exception raised in a range reaches the caller unchanged, once every
+    range has finished.  ``kernel`` must not call ``_face_split`` itself:
+    with every helper thread waiting on a range of its own, that range
+    would never start.
     """
-    _refuse_non_finite(kernel.__name__, *stacks)
-    count = len(stacks[0])
     parts = min(count, _usable_cpus())
     if parts == 1:
-        return kernel(*stacks)
+        kernel(0, count)
+        return
     # the first range is never the shorter: the helpers start later
     bounds = [-(-count * i // parts) for i in range(parts + 1)]
-    ranges = [[stack[lo:hi] for stack in stacks] for lo, hi in zip(bounds, bounds[1:])]
     jobs, done = _helper_jobs(parts - 1), queue.SimpleQueue()
-    for index, faces in enumerate(ranges[1:], 1):
-        jobs.put((index, kernel, faces, done))
+    for index in range(1, parts):
+        jobs.put((index, kernel, bounds[index], bounds[index + 1], done))
     try:
-        outputs = [kernel(*ranges[0])]
+        kernel(bounds[0], bounds[1])
     finally:
-        finished = sorted((done.get() for _ in ranges[1:]), key=lambda job: job[0])
-    for _, _, error in finished:
+        finished = sorted((done.get() for _ in range(1, parts)), key=lambda job: job[0])
+    for _, error in finished:
         if error is not None:
             raise error
-    outputs += [out for _, out, _ in finished]
-    return tuple(np.concatenate(joined) for joined in zip(*outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,13 @@ any width.
 A tolerance stop at k reads terms 1 .. k+1 only.  So a solve with
 ``tol_eps > 0`` on an operator with min(n1, n2) >= 64 first runs the same
 sequence body and k-path on the leading 16 triplets of every face, from a
-fixed-seed randomized range finder (``tsvd._leading_tsvd``, which
-decomposes its small projection on the faces by an R-SVD and transforms
-the factors back once, for the sequence body).  The attempt decides the
-result when every term its outcome depends on is trusted (small triplet
-residual, at least 4 before the 16th); otherwise the full
-decomposition is computed and the path run on it, which is what a solve
-with ``tol_eps = 0`` does from the start.
+fixed-seed randomized range finder (``tsvd._leading_tsvd``, which uses
+one Gaussian test matrix for every face, decomposes its small projection
+on the faces by an R-SVD and transforms the factors back once, for the
+sequence body).  The attempt decides the result when every term its
+outcome depends on is trusted (small triplet residual, at least 4 before
+the 16th); otherwise the full decomposition is computed and the path run
+on it, which is what a solve with ``tol_eps = 0`` does from the start.
 """
 
 from __future__ import annotations
@@ -349,15 +349,16 @@ def solve(
 
     Truncated attempt: with ``tol_eps > 0`` and ``min(n1, n2)`` at least
     4 x 16, the path first runs on the sequence of the leading 16 triplets
-    of every face (``tsvd._leading_tsvd``, a randomized range finder with a
-    fixed seed, so the result is deterministic and numpy's global random
-    state is untouched).  Its outcome stands when every term it read is
-    trusted: the triplets up to there have small residuals and lie at least
-    4 before the 16th, whether the path stopped at the tolerance, at a
-    singular Theta, or at ``k_max``.  Otherwise the full decomposition is
-    computed and the path run again, as a solve with ``tol_eps = 0``
-    always does.  The drop rule applies to the terms computed, so
-    ``kept_indices`` of an accepted attempt lie in 1 .. 16.
+    of every face (``tsvd._leading_tsvd``, a randomized range finder with one
+    fixed-seed Gaussian test matrix for every face, run on all usable CPUs:
+    the result is deterministic, the same for any CPU count and memory
+    layout of ``a``, and numpy's global random state is untouched).  Its
+    outcome stands when every term it read is trusted: the triplets up to
+    there have small residuals and lie at least 4 before the 16th, whether
+    the path stopped at the tolerance, at a singular Theta, or at ``k_max``.
+    Otherwise the full decomposition is computed and the path run again, as
+    a solve with ``tol_eps = 0`` always does.  The drop rule applies to the
+    terms computed, so ``kept_indices`` of an accepted attempt lie in 1 .. 16.
 
     ``b`` must have one column; solve a wider right-hand side one column at
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on

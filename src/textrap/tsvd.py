@@ -16,19 +16,20 @@ is ``v s^+ u^H`` on the faces with the one ``PINV_RCOND`` cutoff.
 
 A tolerance-stopped solve first tries the leading singular triplets only:
 the private ``_leading_tsvd`` gets them from a randomized range finder on
-the same half-spectrum faces and decomposes the small projection by an
-R-SVD on the faces, so no factor is transformed back until it returns
-ordinary ``TsvdFactors``, together with how many of its leading triplets
-can be trusted.
+the same half-spectrum faces, with one Gaussian test matrix for every face,
+and decomposes the small projection by an R-SVD on the faces, so no factor
+is transformed back until it returns ordinary ``TsvdFactors``, together
+with how many of its leading triplets can be trusted.
 
-That per-face work (the power steps, the R-SVD and the triplet residuals)
-runs through ``tensor_core._face_split``: the faces are split into
-min(F, usable CPUs) contiguous ranges, the calling thread runs one and a
-persistent pool of helper threads the others.  The CPU count is the
-process's CPU affinity; there is no option, and on one CPU the same code
-runs a single range on the calling thread.  Each face goes through the same
-numpy calls as without the split, so the results are bit-identical for any
-CPU count (at one BLAS thread setting: BLAS may round differently with
+Its operator transform, by row ranges into one array of contiguous faces,
+and its per-face work (the power steps, the R-SVD and the triplet residuals)
+run through ``tensor_core._face_split``: min(count, usable CPUs) contiguous
+ranges, one on the calling thread and the others on a persistent pool of
+helper threads.  The CPU count is the process's CPU affinity; there is no
+option, and on one CPU the same code runs one range on the calling thread.
+Every lane and face goes through the same numpy calls as without the split,
+so the results are bit-identical for any CPU count and any memory layout of
+the operator (at one BLAS thread setting: BLAS may round differently with
 another).  BLAS threads multiply with these threads: n BLAS threads per
 call may mean n x (usable CPUs) threads in all.
 """
@@ -77,18 +78,18 @@ __all__ = [
 #: map to zero
 PINV_RCOND = 1e-13
 
-#: seed of the fixed Gaussian test tensor of ``_leading_tsvd``
-_TEST_TENSOR_SEED = 0
+#: seed of the fixed Gaussian test matrix of ``_leading_tsvd``
+_TEST_MATRIX_SEED = 0
 #: trailing triplets of ``_leading_tsvd`` that are never trusted: the
-#: range finder resolves the last columns of its test tensor worst (at
+#: range finder resolves the last columns of its test matrix worst (at
 #: 10 ** -0.26 per index, 64 x 64 x 2, singular values 1 .. 12 agree with the
-#: full T-SVD to 2e-15 of the largest, 13 misses by 2.7e-11), and the
+#: full T-SVD to 2.3e-14 of the largest, 13 misses by 3.3e-11), and the
 #: deviation bounds of Halko, Martinsson and Tropp (SIAM Review 53, 2011,
 #: Section 10.3) assume an oversampling of at least 4
 _MARGIN = 4
 #: power steps of ``_leading_tsvd``: with one, triplet 11 of 20 smooth
 #: 128 x 128 x 32 benchmark operators (10 ** -0.5 per index) had residuals up
-#: to 1.5e-13 x the face's largest singular value, above the trust bound; with
+#: to 2.1e-13 x the face's largest singular value, above the trust bound; with
 #: two, triplets 1 .. 13 stay below 1.1e-14
 _POWER_STEPS = 2
 
@@ -194,25 +195,22 @@ def tsvd(a: Tensor3) -> TsvdFactors:
     return _time_factors(*_face_svd(_faces(a.data)), a.n3)
 
 
-def _range_finder(af: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-face body of :func:`_leading_tsvd` on a range of faces: for
-    operator faces ``af`` and test-tensor faces ``omega``, the face factors
-    ``(uf, sv, vf)`` of the leading triplets and their residuals
-    ``|A_f v_j - s_j u_j|``, shape (F, p)."""
-    if not (af[0].flags.c_contiguous or af[0].flags.f_contiguous):
-        # strided faces (those of a C-ordered operator) would run every
-        # product below on numpy's own loops instead of BLAS
-        af = np.ascontiguousarray(af)
+def _range_finder(af, omega, uf, sv, vf, residual) -> None:
+    """The per-face body of :func:`_leading_tsvd` on a range of faces: from
+    operator faces ``af`` and the test matrix ``omega``, write the face
+    factors of the leading triplets into ``uf``, ``sv`` and ``vf`` and their
+    residuals ``|A_f v_j - s_j u_j|`` into ``residual``."""
     q = np.linalg.qr(af @ omega)[0]
     for _ in range(_POWER_STEPS):
         # A^H Q as (Q^H A)^H, so that A's faces are never copied
         q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
     pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
-    ur, sv, vr = _face_svd(_adjoint(rf))
-    uf, vf = q @ ur, pf @ vr
+    ur, sv[:], vr = _face_svd(_adjoint(rf))
+    np.matmul(q, ur, out=uf)
+    np.matmul(pf, vr, out=vf)
     # a helper thread's malloc arena keeps its peak, so free what is done
     del q, pf
-    return uf, sv, vf, np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
+    residual[:] = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
 
 
 def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
@@ -220,17 +218,19 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     many of them are trusted.
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
-    2011) on the half-spectrum faces ``A_f`` of ``a``, formed once; in
-    T-product terms the randomized t-SVD of Zhang, Saibaba, Kilmer and Aeron
-    (Numer. Linear Algebra Appl. 25, 2018).  ``Y_f = A_f Omega_f`` for a
-    fixed-seed real Gaussian n2 x p x n3 tensor ``Omega`` (real, so faces 0
-    and n3/2 stay real) and a QR, then ``_POWER_STEPS`` power steps
+    2011) on the half-spectrum faces ``A_f`` of ``a``, formed once with
+    contiguous faces; in T-product terms the randomized t-SVD of Zhang,
+    Saibaba, Kilmer and Aeron (Numer. Linear Algebra Appl. 25, 2018).
+    ``Y_f = A_f Omega`` for one fixed-seed real Gaussian n2 x p matrix
+    ``Omega`` shared by every face (so each face's sketch is Gaussian, and
+    faces 0 and n3/2 stay real) and a QR, then ``_POWER_STEPS`` power steps
     ``A_f (A_f^H Q_f)``, each followed by a QR, give an orthonormal ``Q``.
     The projection ``B_f = Q_f^H A_f`` is decomposed on the faces by Chan's
     R-SVD (ACM TOMS 8, 1982): a QR ``B_f^H = P_f R_f`` and the SVD
     ``R_f^H = U_R S V_R^H`` of a p x p face give ``u = Q U_R`` and
     ``v = P V_R``.  The result does not depend on numpy's global random
-    state, and repeated calls give identical bits.
+    state, and repeated calls give identical bits.  A non-finite entry in
+    ``a`` raises ``FaceSvdError`` before any work.
 
     Triplet j is trusted when ``|A_f v_j - s_j u_j|`` is at most
     ``PINV_RCOND`` times the largest singular value of face f on every face
@@ -238,12 +238,21 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     pseudo-inverse cutoff) and it lies at least ``_MARGIN`` before ``p``;
     the count is of the leading run of trusted triplets.
     """
-    n3 = a.n3
-    omega = _faces(np.random.default_rng(_TEST_TENSOR_SEED).standard_normal((a.n2, p, n3)))
-    uf, sv, vf, residual = _face_split(_range_finder, _faces(a.data), omega)
+    _require_finite(a, "operator")
+    f = a.n3 // 2 + 1
+    # faces in a's order of rows and columns, so the row-range transform writes
+    # them as it reads a (C-ordered faces of an F-ordered a took 2.5x as long)
+    af = (np.empty((f, a.n2, a.n1), complex).swapaxes(1, 2) if a.data.strides[0] < a.data.strides[1]
+          else np.empty((f, a.n1, a.n2), complex))
+    lanes = np.moveaxis(af, 0, 2)
+    _face_split(lambda lo, hi: np.fft.rfft(a.data[lo:hi], axis=2, out=lanes[lo:hi]), a.n1)
+    omega = np.random.default_rng(_TEST_MATRIX_SEED).standard_normal((a.n2, p))
+    out = uf, sv, vf, residual = (np.empty((f, a.n1, p), complex), np.empty((f, p)),
+                                  np.empty((f, a.n2, p), complex), np.empty((f, p)))
+    _face_split(lambda lo, hi: _range_finder(af[lo:hi], omega, *(x[lo:hi] for x in out)), f)
     ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
     trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
-    return _time_factors(uf, sv, vf, n3), trusted
+    return _time_factors(uf, sv, vf, a.n3), trusted
 
 
 def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:

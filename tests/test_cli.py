@@ -21,6 +21,7 @@ from textrap import (
     write_tns3,
     write_tns4,
 )
+from textrap import cli
 from textrap.cli import main
 
 RNG = np.random.default_rng(20240807)
@@ -92,6 +93,20 @@ def test_gen_same_seed_is_bit_reproducible(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "three" / "A.tns3").read_bytes() != one
+
+
+def test_gen_output_matches_the_full_tsvd_construction(tmp_path, capsys, monkeypatch):
+    # gen keeps only the u factor of a Gaussian tensor's T-SVD; the files must
+    # be those of taking u from the full tsvd
+    new = gen_problem(tmp_path / "new", capsys, dims="16,12,5", noise=1e-3, width=2)
+    monkeypatch.setattr(
+        cli, "_random_orthogonal",
+        lambda n, n3, rng: tsvd(Tensor3(rng.standard_normal((n, n, n3)))).u)
+    full = gen_problem(tmp_path / "full", capsys, dims="16,12,5", noise=1e-3, width=2)
+    assert new["paths"].keys() == full["paths"].keys() == {"a", "b", "x_true"}
+    for name, path in new["paths"].items():
+        with open(path, "rb") as got, open(full["paths"][name], "rb") as want:
+            assert got.read() == want.read(), name
 
 
 def test_gen_noiseless_rhs_is_exact_image(tmp_path, capsys):

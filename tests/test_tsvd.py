@@ -298,32 +298,48 @@ def test_trusted_triplets_meet_the_bound_from_the_returned_tensors(n3, rate):
 
 
 # ---------------------------------------------------------------------------
-# the range finder's faces split over the usable CPUs
+# the operator's transform and the range finder split over the usable CPUs
+
+
+def _layouts(data):
+    """Face-first (the layout tprod returns), C-ordered and F-ordered copies."""
+    face_first = np.moveaxis(np.ascontiguousarray(np.moveaxis(data, 2, 0)), 0, 2)
+    return {"face-first": face_first, "C": np.ascontiguousarray(data), "F": np.asfortranarray(data)}
 
 
 @pytest.mark.parametrize("n3", [1, 6, 7])
 def test_leading_tsvd_has_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
     a = _geometric(64, n3, 0.5, seed=n3)
-    calls = []  # (thread, number of faces) of every range
+    want_faces = _faces(a.data)
+    calls = []  # (thread, operator faces) of every range
     kernel = tsvd_module._range_finder
 
-    def recorded(af, omega):
-        calls.append((threading.current_thread(), len(af)))
-        return kernel(af, omega)
+    def recorded(af, *out):
+        calls.append((threading.current_thread(), af))
+        return kernel(af, *out)
 
-    recorded.__name__ = kernel.__name__
     monkeypatch.setattr(tsvd_module, "_range_finder", recorded)
-    results = {}
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda cpus=cpus: cpus)
-        calls.clear()
-        results[cpus] = _leading_tsvd(a, 16)
-        parts = min(n3 // 2 + 1, cpus)
-        # ranges that cover every face, one on this thread and the others
-        # on helper threads
-        assert len(calls) == parts and sum(count for _, count in calls) == n3 // 2 + 1
-        assert [thread for thread, _ in calls].count(threading.current_thread()) == 1
-    (want, trusted), *others = results.values()
+    results = []
+    for layout, data in _layouts(a.data).items():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "_usable_cpus", lambda cpus=cpus: cpus)
+            calls.clear()
+            results.append(_leading_tsvd(Tensor3(data), 16))
+            parts = min(n3 // 2 + 1, cpus)
+            # ranges that cover every face, one on this thread and the others
+            # on helper threads
+            assert len(calls) == parts and sum(len(af) for _, af in calls) == n3 // 2 + 1
+            assert [thread for thread, _ in calls].count(threading.current_thread()) == 1
+            # the ranges are slices of one face array, transformed by row
+            # ranges with the bits of one transform of the operator; each face
+            # is contiguous in the operator's order of rows and columns
+            start = min(af.ctypes.data for _, af in calls)
+            for _, af in calls:
+                lo = (af.ctypes.data - start) // af.strides[0]
+                assert np.array_equal(af, want_faces[lo : lo + len(af)]), layout
+                assert af[0].flags.c_contiguous == (layout != "F"), layout
+                assert af[0].flags.f_contiguous == (layout == "F"), layout
+    (want, trusted), *others = results
     assert trusted == 16 - _MARGIN
     for got, got_trusted in others:
         assert got_trusted == trusted
@@ -334,9 +350,26 @@ def test_leading_tsvd_has_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
 
 def test_one_face_starts_no_helper_thread(monkeypatch):
     monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+    here = threading.current_thread()
+    calls = []
+    with monkeypatch.context() as helpers_refused:
+        helpers_refused.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+        tensor_core._face_split(
+            lambda lo, hi: calls.append((threading.current_thread(), lo, hi)), 1)
+    assert calls == [(here, 0, 1)]
+    # the operator's 64 rows are still transformed in 3 ranges, but its one
+    # face runs through the range finder once, on the calling thread
+    kernel = tsvd_module._range_finder
+
+    def recorded(af, *out):
+        calls.append((threading.current_thread(), len(af)))
+        return kernel(af, *out)
+
+    monkeypatch.setattr(tsvd_module, "_range_finder", recorded)
+    calls.clear()
     factors, trusted = _leading_tsvd(_geometric(64, 1, 0.5, seed=1), 16)
     assert factors.r == 16 and trusted == 16 - _MARGIN
+    assert calls == [(here, 1)]
 
 
 def _refuse_helpers(size):
@@ -352,14 +385,12 @@ def test_an_error_in_a_helper_range_reaches_the_caller(monkeypatch):
     kernel = tsvd_module._range_finder
     finished = []
 
-    def fails_off_the_calling_thread(af, omega):
+    def fails_off_the_calling_thread(af, *out):
         if threading.current_thread() is not threading.main_thread():
             raise _HelperRangeError(len(af))
-        out = kernel(af, omega)
+        kernel(af, *out)
         finished.append(len(af))
-        return out
 
-    fails_off_the_calling_thread.__name__ = kernel.__name__
     monkeypatch.setattr(tsvd_module, "_range_finder", fails_off_the_calling_thread)
     with pytest.raises(_HelperRangeError) as info:
         _leading_tsvd(_geometric(64, 8, 0.5, seed=8), 16)
@@ -367,13 +398,16 @@ def test_an_error_in_a_helper_range_reaches_the_caller(monkeypatch):
 
 
 def test_a_non_finite_operator_is_refused_before_any_range_starts(monkeypatch):
-    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+    monkeypatch.setattr(tsvd_module, "_face_split", _refuse_ranges)
     data = _geometric(64, 6, 0.5, seed=6).data.copy()
     data[3, 5, 4] = np.nan
     with pytest.raises(FaceSvdError) as info:
         _leading_tsvd(Tensor3(data), 16)
     assert info.value.face_index == 0
+
+
+def _refuse_ranges(kernel, count):
+    raise AssertionError("a range was started")
 
 
 def test_concurrent_callers_share_the_helper_threads(monkeypatch):
@@ -401,7 +435,7 @@ def test_the_interpreter_exits_with_helper_threads_idle():
         "import numpy as np\n"
         "from textrap import tensor_core\n"
         "tensor_core._usable_cpus = lambda: 2\n"
-        "tensor_core._face_split(lambda faces: (faces,), np.ones((3, 2, 2)))\n"
+        "tensor_core._face_split(lambda lo, hi: np.ones((hi - lo, 2)), 3)\n"
         "print(threading.active_count())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
