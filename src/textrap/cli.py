@@ -50,7 +50,7 @@ from .tensor_core import (
     read_tns4,
     write_tns3,
 )
-from .tproduct_algebra import check_moore_penrose, tinverse, tprod, ttranspose
+from .tproduct_algebra import IDENTITY_TOL, check_moore_penrose, tinverse, tprod, ttranspose
 from .trre_tsvd_solver import DEFAULT_THETA_SHIFT, build_sequence, solve
 from .tsvd import _face_svd, save_factors, tls_solve, tsvd, ttsvd
 
@@ -335,7 +335,7 @@ def _suite_tsvd(rng, oracle) -> dict:
         recon = frobenius_norm(a - factors.reconstruction()) / frobenius_norm(a)
         worst = max(worst, recon)
         ok = ok and recon <= 1e-10
-        ok = ok and factors.orthogonality_residual() <= 1e-8
+        ok = ok and factors.orthogonality_residual() <= IDENTITY_TOL
         ok = ok and factors.f_diagonality_residual() <= 1e-12
     return {"cases": 15, "max_error": worst, "passed": ok}
 

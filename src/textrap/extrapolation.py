@@ -48,7 +48,7 @@ from .tensor_core import (
     frobenius_norm,
     identity_tensor,
 )
-from .tproduct_algebra import _refusal, tinverse, tprod
+from .tproduct_algebra import IDENTITY_TOL, _refusal, tinverse, tprod
 
 __all__ = [
     "TensorSequence",
@@ -246,12 +246,13 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
     return _wrap(Stack4, np.concatenate([gammas, inv.data[None]]))
 
 
-def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
+def gamma_to_alpha(gamma: Stack4) -> Stack4:
     """Convert gamma (k+1 slices) to alpha (k slices) by the telescoping rule.
 
     ``alpha_0 = I - gamma_0`` and ``alpha_j = alpha_{j-1} - gamma_j``;
     the final ``alpha_{k-1}`` must coincide with ``gamma_k`` (equivalently
-    ``sum gamma = I``), checked at relative tolerance ``tol``; NaN fails it.
+    ``sum gamma = I``): their drift, relative to ``max(1, |gamma_k|)``, must
+    be at most ``IDENTITY_TOL``; NaN fails it.
     """
     if gamma.count < 2:
         raise DimensionMismatchError("gamma_to_alpha needs at least two gamma slices")
@@ -264,10 +265,10 @@ def gamma_to_alpha(gamma: Stack4, tol: float = 1e-8) -> Stack4:
     last = gamma[-1]
     scale = max(1.0, frobenius_norm(last))
     drift = frobenius_norm(alphas[-1] - last)
-    if not drift <= tol * scale:  # written so that NaN fails the check
+    if not drift <= IDENTITY_TOL * scale:  # written so that NaN fails the check
         raise NumericalConsistencyError(
             f"alpha/gamma consistency failed: |alpha_last - gamma_last| = {drift:.3e} "
-            f"(tolerance {tol * scale:.3e}); upstream sum(gamma) != identity"
+            f"(tolerance {IDENTITY_TOL * scale:.3e}); upstream sum(gamma) != identity"
         )
     return alphas
 

@@ -28,7 +28,7 @@ from .tensor_core import (
     _unfaces,
     _wrap,
 )
-from .tproduct_algebra import tprod, ttranspose
+from .tproduct_algebra import IDENTITY_TOL, tprod, ttranspose
 from .tsvd import _face_pinv, _face_svd
 
 __all__ = [
@@ -123,10 +123,10 @@ def adjoint_swap(a: Stack5) -> Stack5:
     return _wrap(Stack5, a._data.swapaxes(0, 1))
 
 
-def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
+def verify_left_inverse(binv: Stack5, b: Stack5) -> bool:
     """Check the left-inverse conditions: ``(binv bar-star b)`` has identity
-    diagonal blocks and zero off-diagonal blocks, each within ``tol`` in
-    Frobenius norm."""
+    diagonal blocks and zero off-diagonal blocks, each within ``IDENTITY_TOL``
+    in Frobenius norm."""
     prod = bar_star(binv, b)
     k, _ = prod.grid_shape
     n, m, n3 = prod.block_dims
@@ -136,10 +136,10 @@ def verify_left_inverse(binv: Stack5, b: Stack5, tol: float = 1e-8) -> bool:
         )
     residual = prod._data.copy()
     residual[range(k), range(k), :, :, 0] -= np.eye(n)
-    return bool(np.sqrt((residual**2).sum(axis=(2, 3, 4))).max() <= tol)
+    return bool(np.sqrt((residual**2).sum(axis=(2, 3, 4))).max() <= IDENTITY_TOL)
 
 
-def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
+def left_inverse(b: Stack5) -> Stack5:
     """Face-domain left-inverse construction for a k x l grid.
 
     The grid blocks are placed into one (l*n1) x (k*n2) x n3 tensor whose
@@ -149,9 +149,10 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
     faces of the real-FFT half spectrum are pseudo-inverted at once, from
     one batched SVD with the ``PINV_RCOND`` cutoff of :mod:`textrap.tsvd`,
     and a face counts as rank-deficient when its left-identity residual
-    ``|pinv @ face - I|`` exceeds ``tol``.  Existence is
-    input-dependent: the first rank-deficient face raises
-    ``SingularFaceError``.
+    ``|pinv @ face - I|`` exceeds ``IDENTITY_TOL``: the test
+    :func:`verify_left_inverse` applies to the result, where the refusal
+    rule's singular-value bound would accept faces whose result then fails
+    it.  The first rank-deficient face raises ``SingularFaceError``.
     """
     k, ell = b.grid_shape
     n1, n2, n3 = b.block_dims
@@ -162,7 +163,7 @@ def left_inverse(b: Stack5, tol: float = 1e-8) -> Stack5:
     stacked = _faces(_grid_layout(b, transpose=True).data)
     pinv = _face_pinv(*_face_svd(stacked))
     residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
-    bad = np.flatnonzero(residual > tol)
+    bad = np.flatnonzero(~(residual <= IDENTITY_TOL))
     if bad.size:
         f = int(bad[0])
         raise SingularFaceError(

@@ -26,6 +26,12 @@ smallest singular value at or below ``INVERTIBILITY_THRESHOLD`` times the
 largest over all faces.  A time-domain tensor carries rounding of about
 ``eps * |A|`` in every entry and the DFT spreads it over every face, so a
 face is known only to ``eps`` times the global largest value, not its own.
+The same bound against the same global largest decides the other spectrum
+questions: ``tubal_rank`` counts the tubes above it (so a square tensor of
+lower rank is never invertible), and ``is_positive_definite`` compares face
+eigenvalues with it times the largest magnitude.  Every identity check
+compares a dimensionless residual with ``IDENTITY_TOL`` = 1e-8; only
+``check_moore_penrose`` has to divide by the size of the term it checks.
 The pseudo-inverse cut (``PINV_RCOND`` in ``tsvd._pseudo_invert_diagonal``)
 drops directions instead of refusing, so it stays per face, as
 ``np.linalg.pinv`` and the loop oracles cut per matrix.
@@ -444,20 +450,6 @@ def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
     return half[np.minimum(f, n3 - f)]
 
 
-def _refuse_non_finite(name: str, *stacks: np.ndarray) -> None:
-    """Refuse ``(F, m, n)`` face stacks, passed to ``name``, that hold a
-    non-finite entry: ``FaceSvdError`` names the first face with one."""
-    finite = np.isfinite(stacks[0]).all(axis=(1, 2))
-    for stack in stacks[1:]:
-        finite &= np.isfinite(stack).all(axis=(1, 2))
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise FaceSvdError(
-            f"{name} refused: face {bad[0]} has non-finite entries",
-            face_index=int(bad[0]),
-        )
-
-
 def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):
     """``fn(faces, *args, **kwargs)`` for a batched ``np.linalg`` routine.
 
@@ -467,7 +459,13 @@ def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):
     become ``FaceSvdError``, naming the first non-finite face when there is
     one.
     """
-    _refuse_non_finite(fn.__name__, faces, *(arg for arg in args if isinstance(arg, np.ndarray)))
+    finite = np.isfinite(faces).all(axis=(1, 2))
+    for stack in (arg for arg in args if isinstance(arg, np.ndarray)):
+        finite &= np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        face = int(np.argmin(finite))
+        raise FaceSvdError(f"{fn.__name__} refused: face {face} has non-finite entries",
+                           face_index=face)
     try:
         return fn(faces, *args, **kwargs)
     except np.linalg.LinAlgError as exc:

@@ -11,8 +11,8 @@ instead of materializing the circulant.  ``bcirc`` itself stays in
 :mod:`textrap.tensor_core` as a capped test oracle.
 
 Every face system is refused by one rule, ``_refusal``, argued in
-:mod:`textrap.tensor_core`.  Pseudo-inverses and least squares live in
-:mod:`textrap.tsvd`.
+:mod:`textrap.tensor_core`, which also gives the two fixed tolerances of
+every other check.  Pseudo-inverses and least squares live in :mod:`textrap.tsvd`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .tensor_core import (
 
 __all__ = [
     "INVERTIBILITY_THRESHOLD",
+    "IDENTITY_TOL",
     "InvertibilityReport",
     "PenroseReport",
     "tprod",
@@ -50,8 +51,11 @@ __all__ = [
 ]
 
 #: a face system is singular when some face's smallest singular value is at
-#: or below this times the largest singular value over all faces
+#: or below this times the largest singular value over all faces; tubal rank
+#: and definiteness are decided against the same relative bound
 INVERTIBILITY_THRESHOLD = 1e-12
+#: an identity check passes when its dimensionless residual is at or below this
+IDENTITY_TOL = 1e-8
 
 
 def _singular(sv: np.ndarray) -> np.ndarray:
@@ -178,61 +182,66 @@ def tscalar_product(x: Tensor3, y: Tensor3) -> TubalScalar:
     return TubalScalar(tprod(ttranspose(x), y).data)
 
 
-def is_orthogonal(q: Tensor3, tol: float = 1e-8) -> bool:
-    """True iff ``q^T * q`` and ``q * q^T`` both equal the identity within tol."""
+def _orthogonality_residual(q: Tensor3) -> float:
+    """Worst of ``|q^T * q - I|`` and, for square slices, ``|q * q^T - I|``
+    (NaN if either is)."""
+    qt = ttranspose(q)
+    eye = identity_tensor(q.n2, q.n3)
+    products = (tprod(qt, q), tprod(q, qt)) if q.n1 == q.n2 else (tprod(qt, q),)
+    return float(np.max([frobenius_norm(p - eye) for p in products]))
+
+
+def is_orthogonal(q: Tensor3) -> bool:
+    """True iff ``q^T * q`` and ``q * q^T`` both equal the identity within
+    ``IDENTITY_TOL``."""
     if q.n1 != q.n2:
         raise DimensionMismatchError(f"orthogonality needs square slices, got {q.dims}")
-    eye = identity_tensor(q.n1, q.n3)
-    qt = ttranspose(q)
-    return (
-        frobenius_norm(tprod(qt, q) - eye) <= tol
-        and frobenius_norm(tprod(q, qt) - eye) <= tol
-    )
+    return _orthogonality_residual(q) <= IDENTITY_TOL
 
 
-def is_positive_definite(a: Tensor3, *, semi: bool = False, tol: float = 1e-12) -> bool:
+def is_positive_definite(a: Tensor3, *, semi: bool = False) -> bool:
     """Positive (semi-)definiteness of the quadratic form ``(x^T * a * x)`` first entry.
 
     The test is decided on the DFT faces: the form equals a nonnegative mix
     ``(1/n3) * sum_f conj(xhat_f)^H H_f xhat_f`` over conjugate-symmetric
     face vectors, so the Hermitian parts ``H_f`` of the faces govern its sign
     exactly.  ``a`` is square-sliced and not assumed symmetric.  With
-    ``semi`` the test is for semi-definiteness.  The boundary is resolved at
-    relative tolerance ``tol``: strict requires every face eigenvalue above
-    ``+tol * scale``, semi above ``-tol * scale``, where ``scale`` is the
-    largest eigenvalue magnitude.  A non-finite entry raises ``FaceSvdError``.
+    ``semi`` the test is for semi-definiteness.  Strict requires every face
+    eigenvalue above ``+INVERTIBILITY_THRESHOLD * scale``, semi at or above
+    ``-INVERTIBILITY_THRESHOLD * scale``, where ``scale`` is the largest
+    eigenvalue magnitude.  A non-finite entry raises ``FaceSvdError``.
     """
     if a.n1 != a.n2:
         raise DimensionMismatchError(f"definiteness needs square slices, got {a.dims}")
     faces = _faces(a.data)
     w = _face_linalg(np.linalg.eigvalsh, 0.5 * (faces + _adjoint(faces)))
     eig_min = float(np.min(w[:, 0]))
-    scale = float(np.max(np.abs(w)))
-    if semi:
-        return eig_min >= -tol * scale
-    return eig_min > tol * scale
+    bound = INVERTIBILITY_THRESHOLD * float(np.max(np.abs(w)))
+    return eig_min >= -bound if semi else eig_min > bound
 
 
 @dataclass(frozen=True)
 class PenroseReport:
-    """Residuals of the four Moore-Penrose axioms for a candidate inverse."""
+    """Relative residuals of the four Moore-Penrose axioms for a candidate
+    inverse; it passes when each is at or below ``IDENTITY_TOL``."""
 
     residuals: tuple[float, float, float, float]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return max(self.residuals) <= self.tol
+        return all(r <= IDENTITY_TOL for r in self.residuals)  # NaN fails
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def check_moore_penrose(a: Tensor3, x: Tensor3, tol: float = 1e-8) -> PenroseReport:
+def check_moore_penrose(a: Tensor3, x: Tensor3) -> PenroseReport:
     """Residuals of the four axioms that define the Moore-Penrose inverse.
 
     Checks, in order: ``a*x*a = a``, ``x*a*x = x``, ``(a*x)^T = a*x``,
-    ``(x*a)^T = x*a``.  ``x`` must have the transposed dims of ``a``.
+    ``(x*a)^T = x*a``, each divided by the size of the term it should equal
+    (zero where that term is zero), so ``(c*a, x/c)`` gets the verdict of
+    ``(a, x)``.  ``x`` must have the transposed dims of ``a``.
     """
     if x.dims != (a.n2, a.n1, a.n3):
         raise DimensionMismatchError(
@@ -240,13 +249,10 @@ def check_moore_penrose(a: Tensor3, x: Tensor3, tol: float = 1e-8) -> PenroseRep
         )
     ax = tprod(a, x)
     xa = tprod(x, a)
-    residuals = (
-        frobenius_norm(tprod(ax, a) - a),
-        frobenius_norm(tprod(xa, x) - x),
-        frobenius_norm(ttranspose(ax) - ax),
-        frobenius_norm(ttranspose(xa) - xa),
-    )
-    return PenroseReport(residuals, tol)
+    pairs = ((tprod(ax, a), a), (tprod(xa, x), x), (ttranspose(ax), ax), (ttranspose(xa), xa))
+    # a zero term leaves |got - want| = 0 for finite input, so divide by 1
+    return PenroseReport(tuple(
+        frobenius_norm(got - want) / (frobenius_norm(want) or 1.0) for got, want in pairs))
 
 
 def slice_product_entry(a: Tensor3, b: Tensor3, i: int, j: int) -> TubalScalar:

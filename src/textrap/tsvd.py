@@ -54,12 +54,10 @@ from .tensor_core import (
     _require_finite,
     _require_int,
     _unfaces,
-    frobenius_norm,
-    identity_tensor,
     read_tns3,
     write_tns3,
 )
-from .tproduct_algebra import tprod, ttranspose
+from .tproduct_algebra import INVERTIBILITY_THRESHOLD, _orthogonality_residual, tprod, ttranspose
 
 __all__ = [
     "TsvdFactors",
@@ -126,14 +124,7 @@ class TsvdFactors:
         Measures ``u^T * u - I`` and ``v^T * v - I`` always, and the
         two-sided products as well when the factor is square.
         """
-        residuals = []
-        for q in (self.u, self.v):
-            qt = ttranspose(q)
-            eye = identity_tensor(q.n2, q.n3)
-            residuals.append(frobenius_norm(tprod(qt, q) - eye))
-            if q.n1 == q.n2:
-                residuals.append(frobenius_norm(tprod(q, qt) - eye))
-        return max(residuals)
+        return float(np.max([_orthogonality_residual(q) for q in (self.u, self.v)]))
 
     def f_diagonality_residual(self) -> float:
         """Largest off-diagonal magnitude over the frontal slices of ``s``."""
@@ -303,14 +294,15 @@ def tls_solve(a: Tensor3, b: Tensor3) -> Tensor3:
     return _unfaces(pinv @ _faces(b.data), a.n3)
 
 
-def tubal_rank(a: Tensor3, tol: float = 1e-10) -> int:
-    """Number of singular tubes exceeding ``tol`` relative to the largest.
-
-    Counts indices j with ``max_f sigma_j(f) > tol * max_f sigma_1(f)``.
+def tubal_rank(a: Tensor3) -> int:
+    """Number of singular tubes above ``INVERTIBILITY_THRESHOLD`` relative to
+    the largest: indices j with ``max_f sigma_j(f) > INVERTIBILITY_THRESHOLD *
+    max_f sigma_1(f)``, the refusal rule's bound, so a square tensor of rank
+    below its size is never invertible.
     """
     sv = _face_linalg(np.linalg.svd, _faces(a.data), compute_uv=False)
     top = float(np.max(sv[:, 0]))
-    return int(np.sum(np.max(sv, axis=0) > tol * top))
+    return int(np.sum(np.max(sv, axis=0) > INVERTIBILITY_THRESHOLD * top))
 
 
 def save_factors(factors: TsvdFactors, prefix) -> dict:

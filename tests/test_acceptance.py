@@ -108,7 +108,7 @@ def test_criterion_03_moore_penrose_axioms():
         if sv.min() < 0.05 * sv.max():
             continue  # full tubal rank with a conditioning margin
         _, apinv = ttsvd(a, min(n1, n2))
-        all_axioms &= check_moore_penrose(a, apinv, tol=1e-8).passed
+        all_axioms &= check_moore_penrose(a, apinv).passed
         oracle = bcirc_pinv_tensor(a.data)
         worst_oracle = max(
             worst_oracle,

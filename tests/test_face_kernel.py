@@ -10,7 +10,7 @@ checked against the DFT by quadratic summation.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -40,6 +40,7 @@ from textrap import (
     bar_star,
     beta_to_gamma,
     build_sequence,
+    check_moore_penrose,
     extrapolate,
     identity_tensor,
     is_invertible,
@@ -56,6 +57,7 @@ from textrap import (
     ttranspose,
     ttsvd,
     tubal_rank,
+    verify_left_inverse,
 )
 from textrap.tensor_core import _faces, _unfaces
 from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
@@ -287,6 +289,82 @@ def test_refusal_follows_the_one_rule(n, n3, seed, scales, spreads):
         got, want = call(), oracle()
         bound = 1e3 * np.finfo(float).eps / ratio * np.linalg.norm(want)
         assert np.linalg.norm(got - want) <= bound
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    n3=st.sampled_from([1, 2, 3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    rotate=st.booleans(),
+    logs=st.lists(st.floats(-16.0, 0.0), min_size=9, max_size=9),
+)
+@example(n=3, n3=4, seed=0, rotate=False, logs=[0.0, np.log10(0.5), np.log10(5e-11)] * 3)
+def test_tubal_rank_below_the_size_means_not_invertible(n, n3, seed, rotate, logs):
+    # face f has singular values 10**logs; unrotated faces are diagonal, so
+    # the tensor is F-diagonal.  The example (1, 0.5 and 5e-11 on every
+    # face) once had tubal rank 2 of 3 while the refusal rule inverted it.
+    count = n3 // 2 + 1
+    sv = -np.sort(-(10.0 ** np.reshape(logs[: count * n], (count, n))), axis=1)
+    if rotate:
+        u, w = (unitary_faces(np.random.default_rng(seed), n, n3) for _ in range(2))
+        faces = np.einsum("ijf,fj,kjf->ikf", u, sv, w.conj())
+    else:
+        faces = np.einsum("ij,fj->ijf", np.eye(n), sv)
+    a = Tensor3(from_faces(faces, n3))
+    if tubal_rank(a) < n:
+        assert not is_invertible(a)
+        with pytest.raises(SingularFaceError):
+            tinverse(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n3=st.sampled_from([1, 2, 3, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    deficient=st.booleans(),
+    e=st.integers(-100, 100),
+)
+def test_verdicts_do_not_depend_on_the_input_scale(n3, seed, deficient, e):
+    # every rank, definiteness and identity check compares a dimensionless
+    # quantity, so scaling the input by c (and a candidate inverse by 1/c)
+    # keeps its verdict
+    rng = np.random.default_rng(seed)
+    n = 3
+    if deficient:  # tubal rank n - 1 on every face
+        a = tprod(Tensor3(rng.standard_normal((n, n - 1, n3))),
+                  Tensor3(rng.standard_normal((n - 1, n, n3))))
+    else:
+        a = Tensor3(rng.standard_normal((n, n, n3)))
+    gram = tprod(ttranspose(a), a)
+    tall = tprod(Tensor3(rng.standard_normal((n + 2, n, n3))), a)  # full column rank iff a is
+    _, x = ttsvd(a, n)
+    binv = None if deficient else left_inverse(Stack5([[tall]])).block(0, 0)
+
+    def verdicts(c):
+        grid = Stack5([[c * tall]])
+        try:
+            left_inverse(grid)
+            refused = False
+        except SingularFaceError:
+            refused = True
+        return (
+            tubal_rank(c * a),
+            bool(is_invertible(c * a)),
+            is_positive_definite(c * a),
+            is_positive_definite(c * a, semi=True),
+            is_positive_definite(c * gram),
+            is_positive_definite(c * gram, semi=True),
+            refused,
+            binv is not None and verify_left_inverse(Stack5([[binv * (1 / c)]]), grid),
+            check_moore_penrose(c * a, x * (1 / c)).passed,
+        )
+
+    at_one = verdicts(1.0)
+    full = not deficient
+    assert at_one[:2] == (n - 1 if deficient else n, full)
+    assert at_one[4:] == (full, True, deficient, full, True)
+    assert verdicts(10.0**e) == at_one
 
 
 @pytest.mark.parametrize("n3", N3S)

@@ -1,6 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -23,3 +25,13 @@ def test_submodule_exports_resolve(name):
     assert len(exported) == len(set(exported))
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
+
+
+def test_checks_take_no_tolerance():
+    # rank and definiteness use INVERTIBILITY_THRESHOLD, identity checks
+    # IDENTITY_TOL; neither is an option
+    checks = (textrap.tubal_rank, textrap.is_positive_definite, textrap.left_inverse,
+              textrap.verify_left_inverse, textrap.gamma_to_alpha, textrap.is_orthogonal,
+              textrap.check_moore_penrose)
+    assert [f.__name__ for f in checks if "tol" in inspect.signature(f).parameters] == []
+    assert [f.name for f in dataclasses.fields(textrap.PenroseReport)] == ["residuals"]

@@ -4,6 +4,7 @@ import pytest
 from oracles import bcirc_pinv_tensor, brute_tprod, brute_ttranspose, sampled_positive_definite
 from textrap import (
     DimensionMismatchError,
+    PenroseReport,
     SingularFaceError,
     Tensor3,
     check_moore_penrose,
@@ -219,6 +220,15 @@ def test_check_moore_penrose_accepts_true_pinv():
     report = check_moore_penrose(a, x)
     assert report.passed and bool(report)
     assert max(report.residuals) < 1e-8
+
+
+def test_a_nan_residual_fails_the_penrose_check():
+    # Python's max skips a NaN that is not first, so each residual is
+    # compared on its own
+    for where in range(4):
+        residuals = [0.0] * 4
+        residuals[where] = np.nan
+        assert not PenroseReport(tuple(residuals)).passed
 
 
 def test_check_moore_penrose_rejects_wrong_candidate():
