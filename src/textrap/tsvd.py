@@ -2,24 +2,23 @@
 
 The decomposition is an ordinary SVD of every DFT face: one batched
 ``np.linalg.svd`` over the real-FFT half spectrum (faces ``0 .. n3 // 2``,
-see :mod:`textrap.tensor_core`), whose factors are transformed back along
-mode 3 so that ``a = u * s * v^T`` holds under the T-product.  The other
-faces are the conjugates of these, so the inverse transform is real by
-construction.  Factors are kept in economy form: ``u`` is n1 x r x n3,
-``s`` is r x r x n3 and F-diagonal, ``v`` is n2 x r x n3, with
-``r = min(n1, n2)`` in the full case.  Column slices of ``u`` and ``v``
-are orthonormal under the T-scalar product; ``u`` and ``v`` are orthogonal
-tensors outright whenever they are square.  Truncation (before anything is
-transformed back), least squares and the grid left inverse of
+see :mod:`textrap.tensor_core`).  ``TsvdFactors`` keeps these face factors
+and transforms ``u``, ``s`` and ``v`` back along mode 3 on first read, so
+that ``a = u * s * v^T`` holds under the T-product; the other faces are the
+conjugates of these, so the inverse transform is real by construction.
+Factors are in economy form: ``u`` is n1 x r x n3, ``s`` is r x r x n3 and
+F-diagonal, ``v`` is n2 x r x n3, with ``r = min(n1, n2)`` in the full
+case.  Column slices of ``u`` and ``v`` are orthonormal under the T-scalar
+product; ``u`` and ``v`` are orthogonal tensors outright whenever they are
+square.  Truncation, least squares and the grid left inverse of
 :mod:`textrap.stack_products` use the same face SVD, and every pseudo-inverse
 is ``v s^+ u^H`` on the faces with the one ``PINV_RCOND`` cutoff.
 
 A tolerance-stopped solve first tries the leading singular triplets only:
 the private ``_leading_tsvd`` gets them from a randomized range finder on
 the same half-spectrum faces, with one Gaussian test matrix for every face,
-and decomposes the small projection by an R-SVD on the faces, so no factor
-is transformed back until it returns ordinary ``TsvdFactors``, together
-with how many of its leading triplets can be trusted.
+decomposes the small projection by an R-SVD on the faces, and returns those
+face factors as ``TsvdFactors`` with how many of them can be trusted.
 
 Its operator transform, by row ranges into one array of contiguous faces,
 and its per-face work (the power steps, the R-SVD and the triplet residuals)
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,9 @@ _POWER_STEPS = 2
 
 @dataclass(frozen=True)
 class TsvdFactors:
-    """Factors of a (possibly truncated) tensor SVD.
+    """Factors of a (possibly truncated) tensor SVD, made by :func:`tsvd`,
+    :func:`ttsvd` or :func:`load_factors` and held as half-spectrum faces;
+    ``u``, ``s``, ``v`` and ``face_singular_values`` are made on first read.
 
     Attributes
     ----------
@@ -108,11 +110,33 @@ class TsvdFactors:
         face f, sorted descending.
     """
 
-    u: Tensor3
-    s: Tensor3
-    v: Tensor3
-    r: int
-    face_singular_values: np.ndarray
+    _uf: np.ndarray
+    _sv: np.ndarray
+    _vf: np.ndarray
+    _n3: int
+
+    @property
+    def r(self) -> int:
+        return self._sv.shape[1]
+
+    @cached_property
+    def u(self) -> Tensor3:
+        return _unfaces(self._uf, self._n3)
+
+    @cached_property
+    def s(self) -> Tensor3:
+        data = np.zeros((self.r, self.r, self._n3))
+        idx = np.arange(self.r)
+        data[idx, idx, :] = np.fft.irfft(self._sv, n=self._n3, axis=0).T
+        return Tensor3(data)
+
+    @cached_property
+    def v(self) -> Tensor3:
+        return _unfaces(self._vf, self._n3)
+
+    @cached_property
+    def face_singular_values(self) -> np.ndarray:
+        return _full_spectrum(self._sv, self._n3)
 
     def reconstruction(self) -> Tensor3:
         """``u * s * v^T`` under the T-product."""
@@ -132,15 +156,6 @@ class TsvdFactors:
         idx = np.arange(self.r)
         off[idx, idx, :] = 0.0
         return float(np.max(np.abs(off))) if off.size else 0.0
-
-
-def _diagonal(values: np.ndarray, n3: int) -> Tensor3:
-    """The r x r x n3 F-diagonal tensor whose diagonal tubes have the
-    half-spectrum faces ``values`` (shape (F, r))."""
-    r = values.shape[1]
-    data = np.zeros((r, r, n3))
-    data[np.arange(r), np.arange(r), :] = np.fft.irfft(values, n=n3, axis=0).T
-    return Tensor3(data)
 
 
 def _face_svd(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,23 +182,9 @@ def _face_pinv(uf: np.ndarray, sv: np.ndarray, vf: np.ndarray) -> np.ndarray:
     return (vf * _pseudo_invert_diagonal(sv)[:, None, :]) @ _adjoint(uf)
 
 
-def _time_factors(uf: np.ndarray, sv: np.ndarray, vf: np.ndarray, n3: int) -> TsvdFactors:
-    """The time-domain factors of half-spectrum face factors."""
-    # v before u: u first made solve() ~8 % slower at 128x128x32, an allocator
-    # effect (gone with malloc's trim and mmap thresholds pinned)
-    v = _unfaces(vf, n3)
-    return TsvdFactors(
-        u=_unfaces(uf, n3),
-        s=_diagonal(sv, n3),
-        v=v,
-        r=sv.shape[1],
-        face_singular_values=_full_spectrum(sv, n3),
-    )
-
-
 def tsvd(a: Tensor3) -> TsvdFactors:
     """Full tensor SVD: ``a = u * s * v^T`` with r = min(n1, n2) triplets."""
-    return _time_factors(*_face_svd(_faces(a.data)), a.n3)
+    return TsvdFactors(*_face_svd(_faces(a.data)), a.n3)
 
 
 def _range_finder(af, omega, uf, sv, vf, residual) -> None:
@@ -243,7 +244,7 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     _face_split(lambda lo, hi: _range_finder(af[lo:hi], omega, *(x[lo:hi] for x in out)), f)
     ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
     trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
-    return _time_factors(uf, sv, vf, a.n3), trusted
+    return TsvdFactors(uf, sv, vf, a.n3), trusted
 
 
 def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:
@@ -261,7 +262,7 @@ def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:
     if not 1 <= k <= r:
         raise DimensionMismatchError(f"truncation index k = {k} outside 1 .. {r} for dims {a.dims}")
     uf, sv, vf = (x[..., :k] for x in _face_svd(_faces(a.data)))
-    return _time_factors(uf, sv, vf, a.n3), _unfaces(_face_pinv(uf, sv, vf), a.n3)
+    return TsvdFactors(uf, sv, vf, a.n3), _unfaces(_face_pinv(uf, sv, vf), a.n3)
 
 
 def truncated_expansion(factors: TsvdFactors) -> list[tuple[Tensor3, TubalScalar, Tensor3]]:
@@ -332,15 +333,13 @@ def save_factors(factors: TsvdFactors, prefix) -> dict:
 
 def load_factors(prefix) -> TsvdFactors:
     """Read factors written by :func:`save_factors`; other sidecar keys,
-    such as the ``tol`` that earlier versions wrote, are ignored."""
+    such as the ``tol`` that earlier versions wrote, are ignored.  The faces
+    are those of the ``u`` and ``v`` read and of the sidecar's singular
+    values; the tensors read are kept as ``u``, ``s`` and ``v``."""
     prefix = Path(prefix)
-    sidecar = json.loads(
-        prefix.with_name(prefix.name + "_tsvd.json").read_text(encoding="utf-8")
-    )
-    return TsvdFactors(
-        u=read_tns3(prefix.with_name(prefix.name + "_u.tns3")),
-        s=read_tns3(prefix.with_name(prefix.name + "_s.tns3")),
-        v=read_tns3(prefix.with_name(prefix.name + "_v.tns3")),
-        r=int(sidecar["r"]),
-        face_singular_values=np.asarray(sidecar["face_singular_values"], dtype=float),
-    )
+    sidecar = json.loads(prefix.with_name(prefix.name + "_tsvd.json").read_text(encoding="utf-8"))
+    u, s, v = (read_tns3(prefix.with_name(f"{prefix.name}_{part}.tns3")) for part in "usv")
+    sv = np.asarray(sidecar["face_singular_values"], dtype=float)[: u.n3 // 2 + 1]
+    factors = TsvdFactors(_faces(u.data), sv, _faces(v.data), u.n3)
+    factors.__dict__.update(u=u, s=s, v=v)  # the cached tensors
+    return factors

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,3 +698,32 @@ def test_unknown_subcommand_exits_2(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite, name", [("tprod", "tprod"), ("leastsq", "tls_solve"),
+                                         ("penrose", "ttsvd")])
+def test_verify_fails_a_suite_whose_error_is_nan(suite, name, monkeypatch, capsys):
+    original = getattr(cli, name)
+
+    def poisoned(*args):
+        out = original(*args)
+        if isinstance(out, tuple):  # ttsvd: (factors, mp_inverse)
+            return out[0], Tensor3(np.full(out[1].dims, np.nan))
+        return Tensor3(np.full(out.dims, np.nan))
+
+    monkeypatch.setattr(cli, name, poisoned)
+    code, report, _ = run_cli(["verify", "--suite", suite], capsys)
+    assert code == 1 and report["passed"] is False
+    assert np.isnan(report["suites"][suite]["max_error"])
+    assert report["suites"][suite]["passed"] is False
+
+
+def test_python_m_textrap_runs_the_command_line():
+    # the directory that holds the package under test, ahead of any other
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = [subprocess.run([sys.executable, "-m", "textrap", "verify", "--suite", suite],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for suite in ("tprod", "no-such-suite")]
+    assert [proc.returncode for proc in runs] == [0, 2], runs[1].stderr
+    assert json.loads(runs[0].stdout)["passed"] is True

@@ -27,6 +27,7 @@ from textrap import (
     Stack4,
     Tensor3,
     TensorSequence,
+    TsvdFactors,
     build_sequence,
     extrapolate,
     frobenius_norm,
@@ -878,6 +879,23 @@ def test_a_forked_child_runs_the_truncated_attempt(monkeypatch):
         child.join()
         pytest.fail("the forked child did not finish its solve")
     assert child.exitcode == 0
+
+
+def test_the_solve_paths_transform_back_only_u(monkeypatch):
+    # the sequence reads the faces of v and the half-spectrum singular values
+    # as they are: v, s and the full spectrum are never formed, on the full
+    # path and on an accepted truncated attempt alike
+    a, b, x, _ = smooth_spectral_problem(64, 4, 0.5, 0.2, np.random.default_rng(3))
+    want = [solve(a, b, tol_eps=tol, x_true=x) for tol in (1e-3, 0.0)]
+    for name in ("s", "v", "face_singular_values"):
+        monkeypatch.setattr(TsvdFactors, name, property(_refuse(f"forming {name}")))
+    state = build_sequence(a, b)
+    assert len(state.sdeltas) == len(state.partial_sums) - 1 == state.count > 0
+    got = [solve(a, b, tol_eps=tol, x_true=x) for tol in (1e-3, 0.0)]
+    assert [report.triplets for report in got] == [16, 64]
+    for report, ref in zip(got, want):
+        assert report.ks == ref.ks and report.errors == ref.errors
+        assert np.array_equal(report.t_k.data, ref.t_k.data)
 
 
 def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -14,6 +15,7 @@ from textrap import (
     FaceSvdError,
     InvalidParameterError,
     Tensor3,
+    TsvdFactors,
     check_moore_penrose,
     frobenius_norm,
     identity_tensor,
@@ -193,6 +195,19 @@ def test_tubal_rank_of_exact_truncation():
         assert tubal_rank(ak) == k
     assert tubal_rank(identity_tensor(4, 3)) == 4
     assert tubal_rank(Tensor3(np.zeros((3, 3, 2)))) == 0
+
+
+def test_factors_keep_their_faces_private_and_make_tensors_on_first_read():
+    assert all(f.name.startswith("_") for f in dataclasses.fields(TsvdFactors))
+    public = {name for name in dir(TsvdFactors) if not name.startswith("_")}
+    assert public == {"u", "s", "v", "r", "face_singular_values", "reconstruction",
+                      "orthogonality_residual", "f_diagonality_residual"}
+    for factors in (tsvd(rand(5, 4, 3)), ttsvd(rand(5, 4, 3), 2)[0],
+                    _leading_tsvd(rand(64, 64, 3), 16)[0]):
+        lazy = ("u", "s", "v", "face_singular_values")
+        assert not set(lazy) & set(vars(factors))
+        first = [getattr(factors, name) for name in lazy]
+        assert all(getattr(factors, name) is x for name, x in zip(lazy, first))
 
 
 def test_save_load_round_trip(tmp_path):
