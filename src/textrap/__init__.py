@@ -9,158 +9,27 @@ The public surface re-exports the core layers:
 - the tensor SVD, truncation, pseudoinverse, and least-squares solve
 - polynomial-type sequence transforms (TMPE, TRRE, TMMPE, TTEA)
 - the reduced-rank solver on truncated-decomposition partial sums
+
+Each module's ``__all__`` lists its public names; the package exports
+exactly those lists, in the order of the imports below.
 """
 
-from .errors import (
-    BadMagicError,
-    DimensionMismatchError,
-    DimensionOverflowError,
-    FaceSvdError,
-    InsufficientSequenceError,
-    InvalidParameterError,
-    NumericalConsistencyError,
-    OracleCapError,
-    SingularFaceError,
-    TensorFileError,
-    TextrapError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-)
-from .tensor_core import (
-    Stack4,
-    Stack5,
-    Tensor3,
-    TubalScalar,
-    bcirc,
-    fold,
-    frobenius_norm,
-    identity_tensor,
-    identity_tube,
-    matvec_unfold,
-    read_tns3,
-    read_tns4,
-    write_tns3,
-    write_tns4,
-)
-from .tproduct_algebra import (
-    InvertibilityReport,
-    PenroseReport,
-    check_moore_penrose,
-    is_invertible,
-    is_orthogonal,
-    is_positive_definite,
-    slice_product_entry,
-    tinverse,
-    tprod,
-    tscalar_product,
-    ttranspose,
-)
-from .stack_products import (
-    adjoint_swap,
-    bar_star,
-    diamond,
-    left_inverse,
-    star,
-    verify_left_inverse,
-)
-from .tsvd import (
-    TsvdFactors,
-    load_factors,
-    save_factors,
-    tls_solve,
-    truncated_expansion,
-    tsvd,
-    ttsvd,
-    tubal_rank,
-)
-from .extrapolation import (
-    METHODS,
-    ExtrapolationResult,
-    TensorSequence,
-    beta_to_gamma,
-    build_y_stack,
-    default_tmmpe_y,
-    difference_stacks,
-    extrapolate,
-    gamma_to_alpha,
-    solve_beta_system,
-    ttea_solve,
-)
-from .trre_tsvd_solver import (
-    SolverReport,
-    TtsvdSequenceState,
-    build_sequence,
-    solve,
-)
+import sys as _sys
+
+from .errors import *
+from .tensor_core import *
+from .tproduct_algebra import *
+from .stack_products import *
+from .tsvd import *
+from .extrapolation import *
+from .trre_tsvd_solver import *
 
 __version__ = "0.1.0"
 
+# found through sys.modules, since the function ``tsvd`` shadows its module
 __all__ = [
-    "BadMagicError",
-    "DimensionMismatchError",
-    "DimensionOverflowError",
-    "FaceSvdError",
-    "InsufficientSequenceError",
-    "InvalidParameterError",
-    "NumericalConsistencyError",
-    "OracleCapError",
-    "SingularFaceError",
-    "TensorFileError",
-    "TextrapError",
-    "TruncatedPayloadError",
-    "UnsupportedVersionError",
-    "Stack4",
-    "Stack5",
-    "Tensor3",
-    "TubalScalar",
-    "bcirc",
-    "fold",
-    "frobenius_norm",
-    "identity_tensor",
-    "identity_tube",
-    "matvec_unfold",
-    "read_tns3",
-    "read_tns4",
-    "write_tns3",
-    "write_tns4",
-    "InvertibilityReport",
-    "PenroseReport",
-    "check_moore_penrose",
-    "is_invertible",
-    "is_orthogonal",
-    "is_positive_definite",
-    "slice_product_entry",
-    "tinverse",
-    "tprod",
-    "tscalar_product",
-    "ttranspose",
-    "adjoint_swap",
-    "bar_star",
-    "diamond",
-    "left_inverse",
-    "star",
-    "verify_left_inverse",
-    "TsvdFactors",
-    "load_factors",
-    "save_factors",
-    "tls_solve",
-    "truncated_expansion",
-    "tsvd",
-    "ttsvd",
-    "tubal_rank",
-    "METHODS",
-    "ExtrapolationResult",
-    "TensorSequence",
-    "beta_to_gamma",
-    "build_y_stack",
-    "default_tmmpe_y",
-    "difference_stacks",
-    "extrapolate",
-    "gamma_to_alpha",
-    "solve_beta_system",
-    "ttea_solve",
-    "SolverReport",
-    "TtsvdSequenceState",
-    "build_sequence",
-    "solve",
+    name
+    for module in ("errors", "tensor_core", "tproduct_algebra", "stack_products",
+                   "tsvd", "extrapolation", "trre_tsvd_solver")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -166,12 +166,19 @@ def cmd_gen(cfg: dict, rng) -> tuple[dict, int]:
     if cfg["dims"] is None:
         raise UsageError("gen requires --dims n1,n2,n3")
     dims = _parse_dims(cfg["dims"])
-    noise = cfg["noise"]
-    if noise < 0.0:
-        raise UsageError(f"noise must be >= 0 (got {noise})")
+    rate, noise = cfg["rate"], cfg["noise"]
+    if not np.isfinite(rate):
+        raise UsageError(f"rate must be finite (got {rate})")
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise UsageError(f"noise must be finite and >= 0 (got {noise})")
     if cfg["width"] < 1:
         raise UsageError(f"width must be >= 1 (got {cfg['width']})")
-    a, b, x_true = make_problem(dims, cfg["profile"], cfg["rate"], noise, rng, cfg["width"])
+    # an overflow is refused below, by name, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, x_true = make_problem(dims, cfg["profile"], rate, noise, rng, cfg["width"])
+    for name, t in (("A", a), ("B", b)):
+        if not np.isfinite(t.data).all():
+            raise UsageError(f"rate = {rate} and noise = {noise} give a non-finite {name}")
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {

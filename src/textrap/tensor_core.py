@@ -13,13 +13,22 @@ The DFT along mode 3 uses the unnormalized forward / normalized inverse
 convention: face ``f`` is ``sum_j data[:, :, j] * w**(f*j)`` with
 ``w = exp(-2*pi*1j/n3)``.  ``n3`` may be any positive integer.
 
-Face-domain work uses one format, private to the package: the real-FFT
-half spectrum as an ``(F, m, n)`` stack with ``F = n3 // 2 + 1``, face
+Face-domain work uses the real-FFT half spectrum, ``F = n3 // 2 + 1``
+faces.  Face ``n3 - f`` of a real tensor is the conjugate of face ``f``,
+so the half spectrum determines the tensor, and the inverse transform is
+real by construction.  The private kernel below (``_faces``,
+``_face_linalg``, ``_unfaces``) holds it as an ``(F, m, n)`` stack, face
 first, so that per-face linear algebra is a single batched ``np.linalg``
-call.  Face ``n3 - f`` of a real tensor is the conjugate of face ``f``, so
-the half spectrum determines the tensor, and the inverse transform is real
-by construction.  No face format is exported; the full spectrum of a
-tensor ``t`` is ``np.fft.fft(t.data, axis=2)``.
+call; ``tprod``, the range finder in ``tsvd`` and the solver's sequence
+call ``np.fft`` themselves.  The full spectrum of a tensor ``t`` is
+``np.fft.fft(t.data, axis=2)``.  Public arrays in the face domain:
+
+- ``InvertibilityReport.face_min_sv`` and ``face_max_sv``: ``(n3,)``, all
+  faces;
+- ``TsvdFactors.face_singular_values``: ``(n3, r)``, all faces, face
+  first;
+- ``TtsvdSequenceState.delta_faces``: ``(K, s, F)``, and ``sum_faces``:
+  ``(K + 1, n2, s, F)``, the half spectrum with the face axis last.
 
 One rule refuses a face system (``tproduct_algebra._refusal``): a face's
 smallest singular value at or below ``INVERTIBILITY_THRESHOLD`` times the

@@ -99,18 +99,29 @@ def test_gen_same_seed_is_bit_reproducible(tmp_path, capsys):
     assert (tmp_path / "three" / "A.tns3").read_bytes() != one
 
 
-def test_gen_output_matches_the_full_tsvd_construction(tmp_path, capsys, monkeypatch):
-    # gen keeps only the u factor of a Gaussian tensor's T-SVD; the files must
-    # be those of taking u from the full tsvd
-    new = gen_problem(tmp_path / "new", capsys, dims="16,12,5", noise=1e-3, width=2)
-    monkeypatch.setattr(
-        cli, "_random_orthogonal",
-        lambda n, n3, rng: tsvd(Tensor3(rng.standard_normal((n, n, n3)))).u)
-    full = gen_problem(tmp_path / "full", capsys, dims="16,12,5", noise=1e-3, width=2)
-    assert new["paths"].keys() == full["paths"].keys() == {"a", "b", "x_true"}
-    for name, path in new["paths"].items():
-        with open(path, "rb") as got, open(full["paths"][name], "rb") as want:
-            assert got.read() == want.read(), name
+def test_gen_output_matches_the_full_tsvd_construction(tmp_path, capsys):
+    # rebuilt from the seed's draws in gen's order: a = u * s * v^T with u and
+    # v the u factors of two Gaussian tensors' T-SVDs and the geometric
+    # profile on face 0 of s, then x_true, then b = a * x_true plus noise
+    # rescaled to the relative level
+    (n1, n2, n3), width, rate, noise = (16, 12, 5), 2, 1.0, 1e-3
+    report = gen_problem(tmp_path / "gen", capsys, dims=f"{n1},{n2},{n3}", noise=noise, width=width)
+    rng = np.random.default_rng(report["seed"])
+    u = tsvd(Tensor3(rng.standard_normal((n1, n1, n3)))).u
+    v = tsvd(Tensor3(rng.standard_normal((n2, n2, n3)))).u
+    r = min(n1, n2)
+    s = np.zeros((n1, n2, n3))
+    s[np.arange(r), np.arange(r), 0] = 10.0 ** (-np.arange(r, dtype=float) * rate)
+    a = tprod(tprod(u, Tensor3(s)), ttranspose(v))
+    x_true = Tensor3(rng.standard_normal((n2, width, n3)))
+    b_bar = tprod(a, x_true)
+    g = rng.standard_normal(b_bar.dims)
+    b = b_bar + Tensor3(g * (noise * frobenius_norm(b_bar) / np.linalg.norm(g)))
+    assert report["paths"].keys() == {"a", "b", "x_true"}
+    for name, want in (("a", a), ("b", b), ("x_true", x_true)):
+        write_tns3(want, tmp_path / f"{name}.tns3")
+        got = Path(report["paths"][name]).read_bytes()
+        assert got == (tmp_path / f"{name}.tns3").read_bytes(), name
 
 
 def test_gen_noiseless_rhs_is_exact_image(tmp_path, capsys):
@@ -174,6 +185,30 @@ def test_gen_rejects_negative_noise_and_bad_dims(tmp_path, capsys):
         )
         assert code == 2 and report is None
         assert err.startswith("usage error:") and "width" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, settings, name",
+    [
+        (["--rate", "nan"], {}, "rate"),
+        (["--rate", "-400"], {}, "rate"),  # the profile overflows, so A is NaN
+        (["--noise", "nan"], {}, "noise"),
+        (["--noise", "1e308"], {}, "noise"),  # the noise overflows B
+        ([], {"rate": "inf"}, "rate"),
+        ([], {"noise": float("inf")}, "noise"),
+    ],
+    ids=["rate-nan", "rate-overflow", "noise-nan", "noise-overflow", "config-rate-inf",
+         "config-noise-inf"],
+)
+def test_gen_refuses_a_non_finite_problem(tmp_path, capsys, flags, settings, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code, report, err = run_cli(
+        ["gen", "--dims", "4,4,2", "--config", cfg, *flags, "--output", tmp_path / "out"], capsys
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and name in err and "finite" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -390,6 +425,15 @@ def test_extrapolate_tmmpe_test_stack_options(tmp_path, capsys):
     )
     assert code == 0
     assert_allclose(read_tns3(tmp_path / "e.tns3").data, fixed.data, atol=1e-6)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"default_y": True}))
+    code, _, _ = run_cli(
+        ["extrapolate", "-i", seq_path, "--method", "tmmpe", "--k", "2",
+         "--config", cfg, "--output", tmp_path / "e_cfg.tns3", "--seed", 5],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "e_cfg.tns3").read_bytes() == (tmp_path / "e.tns3").read_bytes()
     y_path = tmp_path / "y.tns4"
     blocks = [Tensor3(RNG.standard_normal((5, 1, 3))) for _ in range(2)]
     write_tns4(Stack4(blocks), y_path)
@@ -618,6 +662,25 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, command
     (key,) = settings
     assert err.startswith("usage error:") and repr(key) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings, message",
+    [
+        ("gen", {"dims": "4,2,2", "profile": "foo"}, "unknown profile 'foo'"),
+        ("verify", {"mutate": "bogus"}, "unknown mutation 'bogus'"),
+    ],
+)
+def test_config_value_outside_its_flags_choices_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                               command, settings, message):
+    # argparse checks a flag's choices; a config value reaches the command
+    monkeypatch.chdir(tmp_path)  # gen's default output directory is "."
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code, report, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and message in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_config_key_that_names_no_setting_is_usage_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from textrap import (
     frobenius_norm,
     gamma_to_alpha,
     identity_tensor,
+    solve_beta_system,
     star,
     tinverse,
     tprod,
@@ -124,6 +125,8 @@ def test_build_y_stack_selects_method():
     assert missing.value.parameter == "custom_y"
     with pytest.raises(DimensionMismatchError):
         build_y_stack("tmmpe", seq, 0, 2, custom_y=Stack4([rand(3, 2, 2)]))
+    with pytest.raises(DimensionMismatchError):
+        build_y_stack("tmmpe", seq, 0, 2, custom_y=Stack4([rand(3, 2, 3) for _ in range(2)]))
     with pytest.raises(InvalidParameterError) as unknown:
         build_y_stack("shanks", seq, 0, 2)
     assert unknown.value.parameter == "method"
@@ -228,6 +231,8 @@ def test_repeated_difference_is_singular():
     assert info.value.face_index is not None
     with pytest.raises(SingularFaceError):
         extrapolate(seq, 0, 2, "trre")  # second differences identically zero
+    with pytest.raises(SingularFaceError, match="identically zero"):
+        extrapolate(seq, 0, 2, "tmmpe", custom_y=Stack4([Tensor3.zeros(3, 2, 2)] * 2))
 
 
 def test_insufficient_terms():
@@ -264,6 +269,15 @@ def test_result_coefficient_identities():
     assert frobenius_norm(result.t_k - want_t) < 1e-10
     want_r = star(delta, result.gamma)
     assert frobenius_norm(result.residual - want_r) < 1e-10
+
+
+def test_solve_beta_system_refuses_unmatched_stacks():
+    l = Stack4([rand(3, 2, 2) for _ in range(2)])
+    for v in (Stack4([]), l[:1]):
+        with pytest.raises(DimensionMismatchError):
+            solve_beta_system(l, v, rand(3, 2, 2))
+    with pytest.raises(DimensionMismatchError):
+        solve_beta_system(l, l, rand(3, 3, 2))
 
 
 def test_beta_to_gamma_sums_to_identity():

@@ -59,7 +59,7 @@ from textrap import (
     tubal_rank,
     verify_left_inverse,
 )
-from textrap.tensor_core import _faces, _unfaces
+from textrap.tensor_core import _face_linalg, _faces, _unfaces
 from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
 from textrap.trre_tsvd_solver import _parseval_weights
 
@@ -435,6 +435,15 @@ def test_non_finite_input_raises_typed_error(value):
                 call()
             assert isinstance(info.value, TextrapError)
             assert info.value.face_index == 0
+
+
+def test_a_face_routine_that_fails_raises_typed_error():
+    # LAPACK can fail on finite faces too (an SVD that does not converge)
+    def diverges(faces):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    with pytest.raises(FaceSvdError, match="diverges failed on the DFT faces"):
+        _face_linalg(diverges, np.ones((2, 3, 3)))
 
 
 @pytest.mark.parametrize("n3", N3S)

@@ -10,12 +10,21 @@ import pytest
 import textrap
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(textrap.__path__))
+LAYERS = ("errors", "tensor_core", "tproduct_algebra", "stack_products", "tsvd",
+          "extrapolation", "trre_tsvd_solver")
 
 
 def test_package_exports_resolve_once():
+    # the package exports each layer's own list, in layer order, and the
+    # objects its modules define (tracing rebinds them by identity)
+    assert set(LAYERS) == set(SUBMODULES) - {"__main__", "cli"}
+    modules = [importlib.import_module(f"textrap.{name}") for name in LAYERS]
+    assert textrap.__all__ == [name for module in modules for name in module.__all__]
     assert len(textrap.__all__) == len(set(textrap.__all__))
-    missing = [name for name in textrap.__all__ if not hasattr(textrap, name)]
-    assert missing == []
+    strangers = [(module.__name__, name) for module in modules for name in module.__all__
+                 if getattr(textrap, name) is not getattr(module, name)]
+    assert strangers == []
+    assert inspect.isfunction(textrap.tsvd)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

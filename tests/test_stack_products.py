@@ -75,6 +75,8 @@ def test_diamond_validation():
     with pytest.raises(DimensionMismatchError):
         diamond(Stack4([]), rand(2, 2, 2))
     with pytest.raises(DimensionMismatchError):
+        diamond(rand_stack(2, 3, 2, 4), Stack4([]))
+    with pytest.raises(DimensionMismatchError):
         diamond(rand_stack(2, 3, 2, 4), rand_stack(2, 4, 2, 4))
 
 
@@ -86,6 +88,8 @@ def test_star_grid_contraction():
     for i in range(3):
         want = tprod(g.block(0, i), b[0]) + tprod(g.block(1, i), b[1])
         assert frobenius_norm(out[i] - want) < 1e-12
+    with pytest.raises(DimensionMismatchError):
+        star(g, rand_stack(3, 2, 6, 5))
 
 
 def test_star_stack_collapse():
@@ -97,6 +101,10 @@ def test_star_stack_collapse():
     assert frobenius_norm(out - want) < 1e-12
     with pytest.raises(DimensionMismatchError):
         star(a, rand_stack(2, 2, 6, 5))
+    with pytest.raises(DimensionMismatchError):
+        star(a, Stack4([]))
+    with pytest.raises(DimensionMismatchError):
+        star(a[0], b)
 
 
 def test_bar_star_definition():
@@ -188,6 +196,9 @@ def test_left_inverse_round_trip():
         for eta in range(k):
             want = eye if tau == eta else Tensor3(np.zeros((2, 2, 3)))
             assert frobenius_norm(prod.block(tau, eta) - want) < 1e-8
+    wide = Stack5([[rand(3, 4, 3) for _ in range(ell)] for _ in range(k)])
+    with pytest.raises(DimensionMismatchError):
+        verify_left_inverse(wide, b)
 
 
 def test_left_inverse_underdetermined_rejected():

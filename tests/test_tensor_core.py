@@ -77,6 +77,8 @@ def test_tensor3_from_frontal_slices_round_trip():
     t = rand(2, 3, 4)
     rebuilt = Tensor3.from_frontal_slices([t.frontal_slice(i) for i in range(4)])
     np.testing.assert_array_equal(rebuilt.data, t.data)
+    with pytest.raises(DimensionMismatchError):
+        Tensor3.from_frontal_slices([])
 
 
 def test_tensor3_arithmetic():
@@ -88,6 +90,8 @@ def test_tensor3_arithmetic():
     np.testing.assert_allclose((a * 2.5).data, 2.5 * a.data)
     with pytest.raises(DimensionMismatchError):
         a + rand(2, 3, 5)
+    with pytest.raises(DimensionMismatchError):
+        a - rand(2, 4, 4)
 
 
 def test_tubal_scalar_accepts_vector_or_tube():
@@ -96,6 +100,8 @@ def test_tubal_scalar_accepts_vector_or_tube():
     s2 = TubalScalar(v.reshape(1, 1, 6))
     assert s1.dims == s2.dims == (1, 1, 6)
     np.testing.assert_array_equal(s1.values, v)
+    with pytest.raises(DimensionMismatchError):
+        TubalScalar(np.zeros((2, 1, 6)))
 
 
 def test_identity_and_zeros():
@@ -123,6 +129,8 @@ def test_stack4_invariants():
         Stack4([rand(2, 3, 4), rand(2, 3, 5)])
     summed = s + s
     np.testing.assert_allclose(summed[1].data, 2.0 * s[1].data)
+    with pytest.raises(DimensionMismatchError):
+        s + s[0:2]
 
 
 def test_stack5_grid():
@@ -133,6 +141,8 @@ def test_stack5_grid():
     np.testing.assert_array_equal(g[3, 1].data, g.block(3, 1).data)
     with pytest.raises(DimensionMismatchError):
         Stack5([[rand(2, 2, 3)], [rand(2, 2, 3), rand(2, 2, 3)]])
+    with pytest.raises(DimensionMismatchError):
+        Stack5([])
     diff = g - g
     assert frobenius_norm(diff.block(0, 0)) == 0.0
 
@@ -153,6 +163,8 @@ def test_matvec_fold_round_trip():
     np.testing.assert_array_equal(m, brute_matvec(t.data))
     back = fold(m, t.dims)
     np.testing.assert_array_equal(back.data, t.data)
+    with pytest.raises(DimensionMismatchError):
+        fold(m, (3, 5, 4))
 
 
 def test_fold_matches_brute():
@@ -310,6 +322,9 @@ def test_tns4_round_trip(tmp_path):
     assert back.count == 5
     for a, b in zip(stack, back):
         np.testing.assert_array_equal(a.data, b.data)
+    with pytest.raises(DimensionMismatchError):
+        write_tns4(Stack4([]), tmp_path / "empty.tns4")
+    assert not (tmp_path / "empty.tns4").exists()
 
 
 def test_tns4_rejects_corrupt_count(tmp_path):

@@ -169,6 +169,8 @@ def test_tscalar_product_norm_identity():
     assert tube.values[0] == pytest.approx(frobenius_norm(x) ** 2, rel=1e-12)
     with pytest.raises(DimensionMismatchError):
         tscalar_product(rand(5, 2, 4), x)
+    with pytest.raises(DimensionMismatchError):
+        tscalar_product(rand(4, 1, 4), x)
 
 
 def test_slice_product_entry_matches_full_product():
@@ -179,6 +181,10 @@ def test_slice_product_entry_matches_full_product():
             np.testing.assert_allclose(
                 slice_product_entry(a, b, i, j).values, full.data[i, j, :], atol=1e-10
             )
+    with pytest.raises(DimensionMismatchError):
+        slice_product_entry(a, rand(4, 2, 5), 0, 0)
+    with pytest.raises(IndexError):
+        slice_product_entry(a, b, 0, 3)
 
 
 def test_is_orthogonal():
@@ -200,6 +206,8 @@ def test_positive_definite_modes_agree():
     neg = -1.0 * shifted
     assert not is_positive_definite(neg)
     assert not sampled_positive_definite(neg.data, rng=np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError):
+        is_positive_definite(rand(n, n - 1, n3))
 
 
 def test_positive_semidefinite_boundary():
