@@ -510,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", "-i", dest="a", help="coefficient tensor (TNS3)")
     p.add_argument("--b", help="right-hand side (TNS3)")
     p.add_argument("--xtrue", help="optional exact solution for error reporting")
-    p.add_argument("--tol", type=float, help="stopping threshold on min(residual, eta)")
+    p.add_argument("--tol", type=float, help="stop at min(residual, eta) < TOL; finite, >= 0")
     p.add_argument("--k-max", type=int, dest="k_max", help="cap on sequence terms")
     p.add_argument("--shift", type=float, help="epsilon shift for Theta inverses (0 disables)")
     p.add_argument("--output", "-o", help="where to write the extrapolant")

@@ -368,14 +368,14 @@ def solve(
     Theta refused by the one face rule raises ``SingularFaceError`` unless
     the tolerance stopped the path before it.  A non-finite entry in
     ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
-    ``x_true`` before any work.  A NaN or negative ``tol_eps``, and a
-    ``shift`` that is NaN, infinite or negative, raise
+    ``x_true`` before any work.  A ``tol_eps``, or a ``shift`` other than
+    None, that is NaN, infinite or negative raises
     ``InvalidParameterError`` naming the parameter, before any work (a
     non-integer ``k_max`` before the decomposition).
     """
     # written so that NaN fails both tests
-    if not tol_eps >= 0:
-        raise InvalidParameterError("tol_eps", f"tol_eps must be >= 0, got {tol_eps!r}")
+    if not 0 <= tol_eps < np.inf:
+        raise InvalidParameterError("tol_eps", f"tol_eps must be finite and >= 0, got {tol_eps!r}")
     if shift is not None and not 0 <= shift < np.inf:
         raise InvalidParameterError(
             "shift", f"shift must be None or finite and >= 0, got {shift!r}"

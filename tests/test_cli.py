@@ -554,6 +554,23 @@ def test_solve_parameter_out_of_its_domain_is_usage_error(tmp_path, capsys, flag
     assert not (tmp_path / "tk.tns3").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_infinite_tol_is_usage_error(tmp_path, capsys, via):
+    # an infinite tolerance stops at once and used to exit 0 with
+    # "tol_eps": Infinity, which is not JSON
+    gen = gen_problem(tmp_path, capsys, dims="4,4,3")
+    config = tmp_path / "c.json"
+    config.write_text('{"tol": Infinity}')
+    extra = ["--tol", "inf"] if via == "flag" else ["--config", config]
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], *extra,
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 2 and report is None
+    assert err.startswith("usage error:") and "tol_eps must be finite" in err
+    assert not (tmp_path / "tk.tns3").exists()
+
+
 def test_k_max_below_one_from_a_config_is_usage_error(tmp_path, capsys):
     gen = gen_problem(tmp_path, capsys, dims="4,4,3")
     config = tmp_path / "c.json"

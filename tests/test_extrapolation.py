@@ -271,6 +271,39 @@ def test_result_coefficient_identities():
     assert frobenius_norm(result.residual - want_r) < 1e-10
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_one_transform_gives_both_contractions(method):
+    # t_k and the residual come from one transform of the differences; they
+    # are the two star contractions of the returned coefficients
+    n, k = 1, 3
+    seq = TensorSequence([rand(16, 3, 4) for _ in range(n + k + 2)])
+    custom_y = default_tmmpe_y(seq.dims, k) if method == "tmmpe" else None
+    result = extrapolate(seq, n, k, method, custom_y)
+    delta, _ = difference_stacks(seq, n, k)
+    for got, want in ((result.t_k, seq[n] + star(delta[:k], result.alpha)),
+                      (result.residual, star(delta, result.gamma))):
+        assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+
+def test_well_conditioned_systems_run_no_svd(monkeypatch):
+    # one LU both solves each face system and settles the refusal rule
+    seq = TensorSequence([rand(9, 3, 4) for _ in range(8)])
+    y, near_identity = rand(9, 3, 4), identity_tensor(3, 4) + 0.1 * rand(3, 3, 4)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for method in METHODS:
+        extrapolate(seq, 0, 3, method, default_tmmpe_y(seq.dims, 3) if method == "tmmpe" else None)
+    ttea_solve(seq, 0, 3, y)
+    tinverse(near_identity)
+    assert calls == []
+
+
 def test_solve_beta_system_refuses_unmatched_stacks():
     l = Stack4([rand(3, 2, 2) for _ in range(2)])
     for v in (Stack4([]), l[:1]):

@@ -60,7 +60,7 @@ from textrap import (
     verify_left_inverse,
 )
 from textrap.tensor_core import _face_linalg, _faces, _unfaces
-from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD
+from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD, _face_solve, _refusal
 from textrap.trre_tsvd_solver import _parseval_weights
 
 N3S = (1, 2, 3, 4, 7, 8)
@@ -223,6 +223,88 @@ def test_block_system_refused_against_the_largest_face_value():
     report = is_invertible(Tensor3(v))
     assert report.face_conds[1] == pytest.approx(1e10, rel=1e-2)
     assert inverse.value.cond == pytest.approx(1 / report.ratio, rel=1e-14)
+
+
+def svd_guarded_solve(faces, rhs=None, what=""):
+    """The face solve guarded by a batched SVD under the one rule: the
+    decisions, results and errors ``_face_solve`` must reproduce."""
+    if (error := _refusal(_face_linalg(np.linalg.svd, faces, compute_uv=False), what)) is not None:
+        raise error
+    if rhs is None:
+        return _face_linalg(np.linalg.inv, faces)
+    return _face_linalg(np.linalg.solve, faces, rhs)
+
+
+def outcome(call):
+    """``(result, None)``, or ``(None, (type, message, face index, cond))``
+    of the TextrapError ``call()`` raises."""
+    try:
+        return call(), None
+    except TextrapError as exc:
+        return None, (type(exc), str(exc), exc.face_index, getattr(exc, "cond", None))
+
+
+def random_unitary(rng, count, n):
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(-15.0, -6.0),
+    log_scale=st.floats(-150.0, 150.0),
+    columns=st.integers(0, 3),
+)
+def test_face_solve_decides_as_the_svd_rule(n, count, seed, log_ratio, log_scale, columns):
+    # face f is U_f diag(sv_f) V_f^H; over all faces the smallest singular
+    # value is 10**log_ratio of the largest, log-uniform across the threshold
+    assume(n * count >= 2)
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(log_ratio, 0.0, size=count * n)
+    top, least = rng.choice(count * n, size=2, replace=False)
+    logs[top], logs[least] = 0.0, log_ratio
+    sv = 10.0 ** (log_scale + logs.reshape(count, n))
+    u, v = random_unitary(rng, count, n), random_unitary(rng, count, n)
+    faces = (u * sv[:, None, :]) @ v.conj().swapaxes(1, 2)
+    shape = (count, n, columns)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if columns else None
+    got, got_error = outcome(lambda: _face_solve(faces, rhs, "block system "))
+    want, want_error = outcome(lambda: svd_guarded_solve(faces, rhs, "block system "))
+    assert got_error == want_error
+    if want_error is None:
+        # largest entries, not norms, whose squares overflow at these scales
+        kappa = 10.0 ** -log_ratio
+        assert np.abs(got - want).max() <= 1e-10 * kappa * np.abs(want).max()
+
+
+def test_face_solve_fails_as_the_svd_rule():
+    faces = random_faces(3, 3, 4).transpose(2, 0, 1)  # 3 faces of 3 x 3
+    rhs = random_faces(3, 2, 4).transpose(2, 0, 1)
+    singular = faces.copy()
+    singular[1, :, 2] = 0.0  # LU meets an exactly zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, rhs)
+    nan_face, inf_rhs = faces.copy(), rhs.copy()
+    nan_face[1, 0, 0] = np.nan
+    inf_rhs[2, 1, 1] = np.inf
+    cases = {
+        "singular": (singular, rhs), "singular inverse": (singular, None),
+        "zero": (np.zeros_like(faces), rhs), "nan face": (nan_face, rhs),
+        "nan inverse": (nan_face, None), "inf rhs": (faces, inf_rhs),
+        "singular, inf rhs": (singular, inf_rhs),
+    }
+    errors = {}
+    for name, (a, b) in cases.items():
+        got, errors[name] = outcome(lambda: _face_solve(a, b, "block system "))
+        want, want_error = outcome(lambda: svd_guarded_solve(a, b, "block system "))
+        assert got is want is None and errors[name] == want_error, name
+    assert errors["singular"][0] is SingularFaceError and errors["singular"][2:] == (1, np.inf)
+    assert errors["zero"][0] is SingularFaceError and errors["zero"][2:] == (0, np.inf)
+    assert errors["nan face"][1:3] == ("svd refused: face 1 has non-finite entries", 1)
+    assert errors["inf rhs"][1:3] == ("solve refused: face 2 has non-finite entries", 2)
 
 
 def unitary_faces(rng, n, n3):

@@ -590,6 +590,7 @@ def test_tube_cut_on_some_faces_is_kept_with_zero_delta_there():
         ({"shift": np.inf}, "shift"),
         ({"tol_eps": np.nan}, "tol_eps"),
         ({"tol_eps": -1.0}, "tol_eps"),
+        ({"tol_eps": np.inf}, "tol_eps"),
     ],
 )
 def test_solve_refuses_invalid_parameters_before_any_work(kwargs, name, monkeypatch):
