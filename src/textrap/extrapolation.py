@@ -320,8 +320,7 @@ def extrapolate(
     _, q, n3 = seq.dims
     coef = np.zeros((k + 1, q, 2 * q, n3))
     coef[:k, :, :q], coef[:, :, q:] = alpha._data, gamma._data
-    sums = _faces(_stack_layout(delta).data) @ _faces(coef.reshape(-1, 2 * q, n3))
-    both = _unfaces(sums, n3).data
+    both = star(delta, _wrap(Stack4, coef)).data
     return ExtrapolationResult(t_k=seq[n] + Tensor3(both[:, :q]), gamma=gamma, beta=beta,
                                alpha=alpha, residual=Tensor3(both[:, q:]))
 

@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -488,52 +487,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: ``(size, jobs)``: the number of helper threads of :func:`_face_split` and
-#: the queue they take jobs from, made on first use and dropped in a forked
-#: child, which inherits the queue but none of the threads.  A plain queue,
-#: not ``concurrent.futures``: importing that (and ``logging`` with it) added
-#: about 0.6 MiB to the peak memory of a process that solves
-_helpers: tuple[int, queue.SimpleQueue] | None = None
-_helpers_lock = threading.Lock()
-
-
-def _helper(jobs: queue.SimpleQueue) -> None:
-    """Run the jobs put on ``jobs`` for good."""
-    while True:
-        _run(*jobs.get())
-
-
-def _run(index: int, kernel, lo: int, hi: int, done: queue.SimpleQueue) -> None:
-    """Put ``(index, None)``, or ``(index, error)`` if ``kernel(lo, hi)``
-    raised, on ``done``.  A function of its own, so that an idle helper holds
-    no reference to the kernel of its last job."""
-    try:
-        kernel(lo, hi)
-        done.put((index, None))
-    except BaseException as exc:  # the caller raises it again
-        done.put((index, exc))
-
-
-def _helper_jobs(size: int) -> queue.SimpleQueue:
-    """The job queue of at least ``size`` helper threads.  They are daemon
-    threads, idle on the queue between jobs, so they end with the process."""
+def _start_helpers() -> None:
+    """Make ``_helpers``: one helper thread fewer than the usable CPUs, since
+    the calling thread runs a range too.  The executor starts no thread
+    before its first job and keeps its threads for good: threads started per
+    call measured 0 to 2 % slower on tolerance solves.  A forked child
+    inherits the executor but none of its threads, so it makes its own."""
     global _helpers
-    with _helpers_lock:
-        started, jobs = _helpers or (0, queue.SimpleQueue())
-        for _ in range(started, size):
-            threading.Thread(target=_helper, args=(jobs,), name="textrap-faces", daemon=True).start()
-        _helpers = (max(started, size), jobs)
-        return jobs
+    _helpers = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="textrap-faces")
 
 
-def _drop_helpers() -> None:
-    # the lock too: another thread may have held it at the fork
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, threading.Lock()
-
-
+_helpers: ThreadPoolExecutor
+_start_helpers()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helpers)
+    os.register_at_fork(after_in_child=_start_helpers)
 
 
 def _face_split(kernel, count: int) -> None:
@@ -541,14 +508,16 @@ def _face_split(kernel, count: int) -> None:
 
     The indices (faces, or rows of a tensor) are split into
     min(count, usable CPUs) contiguous ranges; the calling thread runs the
-    first (a longest one), a persistent pool of helper threads the others,
-    and the call returns once every range has finished.  ``kernel`` writes
-    its results into arrays the caller allocated and treats every index on
-    its own, as numpy's batched ``matmul``, ``qr`` and ``svd`` treat faces
-    and ``np.fft.rfft`` its lanes.  Those routines release the GIL, so the
+    first (a longest one), the persistent helper threads the others, and
+    the call returns once every range has finished.  ``kernel`` writes its
+    results into arrays the caller allocated and treats every index on its
+    own, as numpy's batched ``matmul``, ``qr`` and ``svd`` treat faces and
+    ``np.fft.rfft`` its lanes.  Those routines release the GIL, so the
     ranges run at once, and every index goes through the same calls as in
     one call on all of them, so the results have the same bits for any
-    number of CPUs.  On one CPU the kernel runs once, on the calling thread.
+    number of CPUs.  Once interpreter shutdown has begun (in an ``atexit``
+    handler, or in a thread that outlives the main thread) the executor
+    takes no new jobs, and the calling thread runs every range itself.
 
     An exception raised in a range reaches the caller unchanged, once every
     range has finished.  ``kernel`` must not call ``_face_split`` itself:
@@ -556,21 +525,20 @@ def _face_split(kernel, count: int) -> None:
     would never start.
     """
     parts = min(count, _usable_cpus())
-    if parts == 1:
-        kernel(0, count)
-        return
     # the first range is never the shorter: the helpers start later
     bounds = [-(-count * i // parts) for i in range(parts + 1)]
-    jobs, done = _helper_jobs(parts - 1), queue.SimpleQueue()
-    for index in range(1, parts):
-        jobs.put((index, kernel, bounds[index], bounds[index + 1], done))
+    futures = []
     try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                futures.append(_helpers.submit(kernel, lo, hi))
+            except RuntimeError:  # interpreter shutdown has begun
+                kernel(lo, hi)
         kernel(bounds[0], bounds[1])
     finally:
-        finished = sorted((done.get() for _ in range(1, parts)), key=lambda job: job[0])
-    for _, error in finished:
-        if error is not None:
-            raise error
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------

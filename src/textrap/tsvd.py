@@ -23,9 +23,10 @@ face factors as ``TsvdFactors`` with how many of them can be trusted.
 Its operator transform, by row ranges into one array of contiguous faces,
 and its per-face work (the power steps, the R-SVD and the triplet residuals)
 run through ``tensor_core._face_split``: min(count, usable CPUs) contiguous
-ranges, one on the calling thread and the others on a persistent pool of
-helper threads.  The CPU count is the process's CPU affinity; there is no
-option, and on one CPU the same code runs one range on the calling thread.
+ranges, one on the calling thread and the others on the persistent helper
+threads of a ``ThreadPoolExecutor``.  The CPU count is the process's CPU
+affinity; there is no option, and on one CPU the same code runs one range
+on the calling thread.
 Every lane and face goes through the same numpy calls as without the split,
 so the results are bit-identical for any CPU count and any memory layout of
 the operator (at one BLAS thread setting: BLAS may round differently with

@@ -368,7 +368,7 @@ def test_one_face_starts_no_helper_thread(monkeypatch):
     here = threading.current_thread()
     calls = []
     with monkeypatch.context() as helpers_refused:
-        helpers_refused.setattr(tensor_core, "_helper_jobs", _refuse_helpers)
+        helpers_refused.setattr(tensor_core, "_helpers", _RefusingHelpers())
         tensor_core._face_split(
             lambda lo, hi: calls.append((threading.current_thread(), lo, hi)), 1)
     assert calls == [(here, 0, 1)]
@@ -387,8 +387,9 @@ def test_one_face_starts_no_helper_thread(monkeypatch):
     assert calls == [(here, 1)]
 
 
-def _refuse_helpers(size):
-    raise AssertionError("a helper thread was asked for")
+class _RefusingHelpers:
+    def submit(self, *job):
+        raise AssertionError("a helper thread was asked for")
 
 
 class _HelperRangeError(Exception):
@@ -456,3 +457,43 @@ def test_the_interpreter_exits_with_helper_threads_idle():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"]
+
+
+_SPLIT_AT_SHUTDOWN = (
+    "import threading\n"
+    "import numpy as np\n"
+    "from textrap import tensor_core\n"
+    "def split(name):\n"
+    "    seen = np.zeros(5, dtype=int)\n"
+    "    def kernel(lo, hi):\n"
+    "        seen[lo:hi] += 1\n"
+    "    for cpus, count in [(2, 3), (2, 5), (3, 3), (3, 5)]:\n"
+    "        tensor_core._usable_cpus = lambda: cpus\n"
+    "        seen[:] = 0\n"
+    "        tensor_core._face_split(kernel, count)\n"
+    "        assert seen[:count].tolist() == [1] * count, (name, cpus, seen)\n"
+    "    print(name)\n"
+)
+
+
+@pytest.mark.parametrize("when", ["atexit", "thread"])
+def test_ranges_run_during_interpreter_shutdown(when):
+    # once shutdown has begun the executor takes no new jobs: an atexit
+    # handler, or a non-daemon thread that outlives the main thread, still
+    # gets every range run
+    start = {
+        "atexit": "import atexit\natexit.register(split, 'atexit')\n",
+        # the main thread counts as finished once the shutdown hooks have run
+        "thread": "threading.Thread(target=lambda: (threading.main_thread().join(), split('thread'))).start()\n",
+    }[when]
+    proc = subprocess.run([sys.executable, "-c", _SPLIT_AT_SHUTDOWN + start],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [when]
+
+
+def test_importing_the_package_starts_no_thread():
+    code = "import threading\nimport textrap\nprint(threading.active_count())\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
