@@ -147,7 +147,7 @@ def left_inverse(b: Stack5) -> Stack5:
     inverse exists iff every DFT face of it has full column rank, in which
     case the face pseudoinverses supply the blocks of the result.  All
     faces of the real-FFT half spectrum are pseudo-inverted at once, from
-    one batched SVD with the ``PINV_RCOND`` cutoff of :mod:`textrap.tsvd`,
+    the face SVDs and the ``PINV_RCOND`` cutoff of :mod:`textrap.tsvd`,
     and a face counts as rank-deficient when its left-identity residual
     ``|pinv @ face - I|`` exceeds ``IDENTITY_TOL``: the test
     :func:`verify_left_inverse` applies to the result, where the refusal

@@ -19,8 +19,9 @@ so the half spectrum determines the tensor, and the inverse transform is
 real by construction.  The private kernel below (``_faces``,
 ``_face_linalg``, ``_unfaces``) holds it as an ``(F, m, n)`` stack, face
 first, so that per-face linear algebra is a single batched ``np.linalg``
-call; ``tprod``, the range finder in ``tsvd`` and the solver's sequence
-call ``np.fft`` themselves.  The full spectrum of a tensor ``t`` is
+call (the full face SVD of ``tsvd`` makes one call per face, split over
+the CPUs by ``_face_split``); ``tprod``, the range finder in ``tsvd`` and
+the solver's sequence call ``np.fft`` themselves.  The full spectrum of a tensor ``t`` is
 ``np.fft.fft(t.data, axis=2)``.  Public arrays in the face domain:
 
 - ``InvertibilityReport.face_min_sv`` and ``face_max_sv``: ``(n3,)``, all

@@ -1,8 +1,9 @@
 """Tensor SVD, truncation, tubal rank, and minimum-norm least squares.
 
-The decomposition is an ordinary SVD of every DFT face: one batched
-``np.linalg.svd`` over the real-FFT half spectrum (faces ``0 .. n3 // 2``,
-see :mod:`textrap.tensor_core`).  ``TsvdFactors`` keeps these face factors
+The decomposition is an ordinary SVD of every DFT face of the real-FFT half
+spectrum (faces ``0 .. n3 // 2``, see :mod:`textrap.tensor_core`), one
+``np.linalg.svd`` call per face; faces 0 and n3/2 are real matrices and are
+decomposed as real.  ``TsvdFactors`` keeps these face factors
 and transforms ``u``, ``s`` and ``v`` back along mode 3 on first read, so
 that ``a = u * s * v^T`` holds under the T-product; the other faces are the
 conjugates of these, so the inverse transform is real by construction.
@@ -20,13 +21,15 @@ the same half-spectrum faces, with one Gaussian test matrix for every face,
 decomposes the small projection by an R-SVD on the faces, and returns those
 face factors as ``TsvdFactors`` with how many of them can be trusted.
 
-Its operator transform, by row ranges into one array of contiguous faces,
-and its per-face work (the power steps, the R-SVD and the triplet residuals)
-run through ``tensor_core._face_split``: min(count, usable CPUs) contiguous
-ranges, one on the calling thread and the others on the persistent helper
-threads of a ``ThreadPoolExecutor``.  The CPU count is the process's CPU
-affinity; there is no option, and on one CPU the same code runs one range
-on the calling thread.
+Three steps run through ``tensor_core._face_split``: the face SVDs of the
+full path (:func:`tsvd`, :func:`ttsvd`, :func:`tls_solve` and the grid left
+inverse), and the attempt's operator transform, by row ranges into one array
+of contiguous faces, and its per-face work (the power steps, the R-SVD as
+one batched call per range, and the triplet residuals).  Each is split into
+min(count, usable CPUs) contiguous ranges, one on the calling thread and the
+others on the persistent helper threads of a ``ThreadPoolExecutor``.  The
+CPU count is the process's CPU affinity; there is no option, and on one CPU
+the same code runs one range on the calling thread.
 Every lane and face goes through the same numpy calls as without the split,
 so the results are bit-identical for any CPU count and any memory layout of
 the operator (at one BLAS thread setting: BLAS may round differently with
@@ -162,9 +165,34 @@ class TsvdFactors:
 def _face_svd(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD of every face of an (F, m, n) stack: ``(uf, sv, vf)`` of
     shapes (F, m, r), (F, r) and (F, n, r) with ``face = uf sv vf^H`` and
-    each row of ``sv`` sorted descending."""
-    uf, sv, vh = _face_linalg(np.linalg.svd, faces, full_matrices=False)
-    return uf, sv, _adjoint(vh)
+    each row of ``sv`` sorted descending.
+
+    The faces are split over the usable CPUs by ``_face_split``, one LAPACK
+    call per face, so a face has the same bits on any number of CPUs.  A
+    face whose imaginary part is exactly zero (faces 0 and n3/2 of a real
+    tensor) is decomposed as a real matrix, 1.4x as fast at 64 x 64 (one
+    OpenBLAS thread, 2-vCPU Xeon).  One batched call per range was as
+    fast, but a helper thread's malloc arena kept that batch's temporaries:
+    4 MiB more peak RSS than one call per face on 128 x 128 x 32 tolerance
+    solves, whose set-up runs ``tsvd``.
+    """
+    count, m, n = faces.shape
+    r = min(m, n)
+    # vf laid out as the adjoint of a batched call's vh, so products with it round as before
+    uf, sv, vf = (np.empty((count, m, r), complex), np.empty((count, r)),
+                  np.empty((count, r, n), complex).swapaxes(1, 2))
+
+    def svd(faces):  # named for the messages of _face_linalg
+        def kernel(lo, hi):
+            for f in range(lo, hi):
+                face = faces[f] if faces[f].imag.any() else faces[f].real
+                uf[f], sv[f], vh = np.linalg.svd(face, full_matrices=False)
+                vf[f] = vh.conj().T
+
+        _face_split(kernel, count)
+
+    _face_linalg(svd, faces)
+    return uf, sv, vf
 
 
 def _pseudo_invert_diagonal(sv: np.ndarray) -> np.ndarray:
@@ -198,9 +226,10 @@ def _range_finder(af, omega, uf, sv, vf, residual) -> None:
         # A^H Q as (Q^H A)^H, so that A's faces are never copied
         q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
     pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
-    ur, sv[:], vr = _face_svd(_adjoint(rf))
+    # one batched call, not _face_svd: this runs in a range of _face_split, which must not nest
+    ur, sv[:], vr = _face_linalg(np.linalg.svd, _adjoint(rf), full_matrices=False)
     np.matmul(q, ur, out=uf)
-    np.matmul(pf, vr, out=vf)
+    np.matmul(pf, _adjoint(vr), out=vf)
     # a helper thread's malloc arena keeps its peak, so free what is done
     del q, pf
     residual[:] = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
@@ -284,8 +313,8 @@ def tls_solve(a: Tensor3, b: Tensor3) -> Tensor3:
 
     Returns ``a^+ * b`` computed facewise: every DFT face of the result is
     the matrix pseudoinverse of the corresponding face of ``a`` (relative
-    cutoff ``PINV_RCOND``) applied to the face of ``b``, all faces in one
-    batched call.  Among all ``x`` minimizing ``frobenius_norm(a*x - b)``
+    cutoff ``PINV_RCOND``) applied to the face of ``b``, from the face SVDs
+    of :func:`tsvd`.  Among all ``x`` minimizing ``frobenius_norm(a*x - b)``
     this solution has the smallest Frobenius norm.  A non-finite entry in
     ``a`` or ``b`` raises ``FaceSvdError``.
     """

@@ -14,11 +14,13 @@ from textrap import (
     DimensionMismatchError,
     FaceSvdError,
     InvalidParameterError,
+    Stack5,
     Tensor3,
     TsvdFactors,
     check_moore_penrose,
     frobenius_norm,
     identity_tensor,
+    left_inverse,
     load_factors,
     save_factors,
     tls_solve,
@@ -31,7 +33,7 @@ from textrap import (
 )
 
 from textrap import tensor_core
-from textrap.tensor_core import _faces
+from textrap.tensor_core import _face_linalg, _faces
 from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
 
 tsvd_module = importlib.import_module("textrap.tsvd")
@@ -497,3 +499,120 @@ def test_importing_the_package_starts_no_thread():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"]
+
+
+# ---------------------------------------------------------------------------
+# the full path's face SVDs split over the usable CPUs
+
+
+def _full_path_bytes(a, b, grid):
+    """The bytes of every full-path result: tsvd's factors, ttsvd, tls_solve
+    and left_inverse."""
+    factors = tsvd(a)
+    kept, mp = ttsvd(a, 3)
+    inverse = left_inverse(grid)
+    k, ell = inverse.grid_shape
+    arrays = [factors._uf, factors._sv, factors._vf, factors.u.data, factors.s.data,
+              factors.v.data, kept.u.data, mp.data, tls_solve(a, b).data,
+              *(inverse.block(i, j).data for i in range(k) for j in range(ell))]
+    return [x.tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("n3", [2, 6, 7])
+def test_full_face_svds_have_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
+    data = RNG.standard_normal((24, 16, n3))
+    b = Tensor3(RNG.standard_normal((24, 2, n3)))
+    grid = Stack5([[rand(8, 6, n3), rand(8, 6, n3)]])
+    ranges = []  # (thread, lo, hi) of every range of a face split
+    split = tsvd_module._face_split
+
+    def recorded(kernel, count):
+        def traced(lo, hi):
+            ranges.append((threading.current_thread(), lo, hi))
+            kernel(lo, hi)
+
+        split(traced, count)
+
+    monkeypatch.setattr(tsvd_module, "_face_split", recorded)
+    results = []
+    for layout in ("C", "F"):
+        a = Tensor3(np.asfortranarray(data) if layout == "F" else np.ascontiguousarray(data))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(tensor_core, "_usable_cpus", lambda cpus=cpus: cpus)
+            ranges.clear()
+            tsvd(a)
+            # ranges that cover every face, one on this thread
+            parts = min(n3 // 2 + 1, cpus)
+            assert len(ranges) == parts and sum(hi - lo for _, lo, hi in ranges) == n3 // 2 + 1
+            assert [thread for thread, _, _ in ranges].count(threading.current_thread()) == 1
+            results.append(_full_path_bytes(a, b, grid))
+    for got in results[1:]:
+        assert got == results[0]
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 8])
+def test_real_faces_are_decomposed_as_real_matrices(n3):
+    a = rand(9, 6, n3)
+    factors = tsvd(a)
+    faces = _faces(a.data)
+    real = {0, n3 // 2} if n3 % 2 == 0 else {0}
+    for f in range(n3 // 2 + 1):
+        u, sv, vh = np.linalg.svd(faces[f].real if f in real else faces[f], full_matrices=False)
+        assert np.array_equal(factors._uf[f], u) and np.array_equal(factors._sv[f], sv)
+        assert np.array_equal(factors._vf[f], vh.conj().T)
+        if f in real:
+            assert not factors._uf[f].imag.any() and not factors._vf[f].imag.any()
+    np.testing.assert_allclose(factors.face_singular_values, face_singular_values(a.data),
+                               atol=1e-10)
+    assert frobenius_norm(factors.reconstruction() - a) / frobenius_norm(a) < 1e-12
+    assert factors.orthogonality_residual() < 1e-10
+
+
+def _svd_error(call):
+    with pytest.raises(FaceSvdError) as info:
+        call()
+    return str(info.value), info.value.face_index
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_a_non_finite_face_is_named_as_by_one_batched_svd(monkeypatch, bad):
+    faces = _faces(rand(5, 4, 6).data)
+    faces[bad, 1, 2] = np.nan
+    want = _svd_error(lambda: _face_linalg(np.linalg.svd, faces, full_matrices=False))
+    assert want == (f"svd refused: face {bad} has non-finite entries", bad)
+    # the check runs over the whole stack before any range starts
+    monkeypatch.setattr(tsvd_module, "_face_split", _refuse_ranges)
+    assert _svd_error(lambda: tsvd_module._face_svd(faces)) == want
+
+
+def test_an_overflowing_operator_is_refused_as_by_one_batched_svd():
+    # the one huge tube overflows the transform on faces 1 and 2 only
+    data = RNG.standard_normal((4, 3, 6))
+    data[1, 2] = 1e308 * np.array([1, 0, -1, 0, 1, 0])
+    a = Tensor3(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _svd_error(lambda: _face_linalg(np.linalg.svd, _faces(data), full_matrices=False))
+        assert want == ("svd refused: face 1 has non-finite entries", 1)
+        for call in (lambda: tsvd(a), lambda: ttsvd(a, 2), lambda: tls_solve(a, rand(4, 1, 6))):
+            assert _svd_error(call) == want
+
+
+def test_an_svd_failure_in_a_helper_range_raises_face_svd_error(monkeypatch):
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+    svd = np.linalg.svd
+    done = []
+
+    def fails_off_the_calling_thread(face, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        done.append(face.shape)
+        return svd(face, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_off_the_calling_thread)
+    with pytest.raises(FaceSvdError) as info:
+        tsvd(rand(6, 5, 8))
+    assert str(info.value) == "svd failed on the DFT faces: SVD did not converge"
+    assert info.value.face_index is None
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # the calling thread's range, faces 0 .. 2 of 5, ran to its end
+    assert done == [(6, 5)] * 3
