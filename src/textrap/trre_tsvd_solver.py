@@ -46,11 +46,14 @@ A tolerance stop at k reads terms 1 .. k+1 only.  So a solve with
 sequence body and k-path on the leading 16 triplets of every face, from a
 fixed-seed randomized range finder (``tsvd._leading_tsvd``, which uses
 one Gaussian test matrix for every face and decomposes its small
-projection on the faces by an R-SVD).  The attempt decides the result
-when every term its outcome depends on is trusted (small triplet residual,
-at least 4 before the 16th); otherwise the full decomposition is computed
-and the path run on it, which is what a solve with ``tol_eps = 0`` does
-from the start.
+projection on the faces by an R-SVD).  The path runs after the range
+finder's first power step, and the attempt decides the result when every
+term its outcome depends on is trusted (small triplet residual, at least 4
+before the 16th).  A second power step is taken only when the outcome
+needs a term within those first 12 that the first step did not trust;
+otherwise, or when the second step does not trust it either, the full
+decomposition is computed and the path run on it, which is what a solve
+with ``tol_eps = 0`` does from the start.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .errors import (
 )
 from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
 from .tproduct_algebra import _refusal, _singular, tprod, ttranspose
-from .tsvd import TsvdFactors, _leading_tsvd, _pseudo_invert_diagonal, tsvd
+from .tsvd import _MARGIN, TsvdFactors, _leading_tsvd, _pseudo_invert_diagonal, tsvd
 
 __all__ = [
     "TtsvdSequenceState",
@@ -209,7 +212,7 @@ class SolverReport:
     ``triplets`` the singular triplets per face of the factorization the
     result came from: 16 for an accepted truncated attempt, else
     min(n1, n2).  ``phase_seconds`` splits the wall time into building the
-    sequence, which includes a truncated attempt that was rejected (its
+    sequence, which includes rejected attempts (each power step's
     decomposition, sequence and k-path), and the k-path that gave the result.
     """
 
@@ -322,14 +325,31 @@ def _norms(faces: np.ndarray, parseval: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
 
 
-def _attempts(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float):
-    """The sequence states a solve tries in turn, each with the last term
-    index whose outcome it can decide: for a tolerance stop on a large
-    enough operator the leading triplets' sequence first, then the full one."""
+def _decided_path(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float, shift):
+    """The sequence state whose k-path decides a solve, that path, and when
+    the path started.
+
+    For a tolerance stop on a large enough operator the leading triplets'
+    sequence is tried first, after each power step of ``_leading_tsvd``: its
+    outcome stands once every term it reads is trusted.  An outcome that
+    needs one of the ``_MARGIN`` trailing triplets, which no step trusts,
+    goes straight to the full sequence, as does one that the last step does
+    not trust either.
+    """
     if tol_eps > 0 and min(a.n1, a.n2) >= 4 * _LEADING_TRIPLETS:
-        factors, trusted = _leading_tsvd(a, _LEADING_TRIPLETS)
-        yield _sequence(factors, b, min(limit, _LEADING_TRIPLETS)), trusted
-    yield build_sequence(a, b, k_max), limit
+        for factors, trusted in _leading_tsvd(a, _LEADING_TRIPLETS):
+            state = _sequence(factors, b, min(limit, _LEADING_TRIPLETS))
+            started = time.perf_counter()
+            path = _k_path(state, tol_eps, shift)
+            reads = path[4]
+            needed = limit if reads is None else state.kept_indices[reads - 1]
+            if needed <= trusted:
+                return state, path, started
+            if needed > _LEADING_TRIPLETS - _MARGIN:
+                break
+    state = build_sequence(a, b, k_max)
+    started = time.perf_counter()
+    return state, _k_path(state, tol_eps, shift), started
 
 
 def solve(
@@ -354,13 +374,17 @@ def solve(
     of every face (``tsvd._leading_tsvd``, a randomized range finder with one
     fixed-seed Gaussian test matrix for every face, run on all usable CPUs:
     the result is deterministic, the same for any CPU count and memory
-    layout of ``a``, and numpy's global random state is untouched).  Its
-    outcome stands when every term it read is trusted: the triplets up to
-    there have small residuals and lie at least 4 before the 16th, whether
-    the path stopped at the tolerance, at a singular Theta, or at ``k_max``.
-    Otherwise the full decomposition is computed and the path run again, as
-    a solve with ``tol_eps = 0`` always does.  The drop rule applies to the
-    terms computed, so ``kept_indices`` of an accepted attempt lie in 1 .. 16.
+    layout of ``a``, and numpy's global random state is untouched).  The
+    path first runs on the factors of one power step; its outcome stands
+    when every term it read is trusted: the triplets up to there have small
+    residuals and lie at least 4 before the 16th, whether the path stopped
+    at the tolerance, at a singular Theta, or at ``k_max``.  When the
+    outcome reads a term within the first 12 that the step did not trust,
+    the path runs again after a second power step, which continues from the
+    first.  Otherwise the full decomposition is computed and the path run
+    again, as a solve with ``tol_eps = 0`` always does.  The drop rule
+    applies to the terms computed, so ``kept_indices`` of an accepted
+    attempt lie in 1 .. 16.
 
     ``b`` must have one column; solve a wider right-hand side one column at
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
@@ -397,11 +421,8 @@ def solve(
         x_scale = frobenius_norm(x_true) or 1.0  # a zero x_true reports |T_k|
     started = time.perf_counter()
     limit = _validated_limit(a, b, k_max)
-    for state, trusted in _attempts(a, b, k_max, limit, tol_eps):
-        steps_started = time.perf_counter()
-        t, res, eta, t_norms, reads, error = _k_path(state, tol_eps, shift)
-        if (limit if reads is None else state.kept_indices[reads - 1]) <= trusted:
-            break
+    state, path, steps_started = _decided_path(a, b, k_max, limit, tol_eps, shift)
+    t, res, eta, t_norms, reads, error = path
     if error is not None:
         raise error
     k = len(t)  # the final k

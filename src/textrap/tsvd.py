@@ -18,16 +18,19 @@ is ``v s^+ u^H`` on the faces with the one ``PINV_RCOND`` cutoff.
 A tolerance-stopped solve first tries the leading singular triplets only:
 the private ``_leading_tsvd`` gets them from a randomized range finder on
 the same half-spectrum faces, with one Gaussian test matrix for every face,
-decomposes the small projection by an R-SVD on the faces, and returns those
-face factors as ``TsvdFactors`` with how many of them can be trusted.
+decomposes the small projection by an R-SVD on the faces, and yields those
+face factors as ``TsvdFactors`` with how many of them can be trusted after
+each power step, so that a solve which trusts the first step's outcome
+pays for one step only.
 
 Three steps run through ``tensor_core._face_split``: the face SVDs of the
 full path (:func:`tsvd`, :func:`ttsvd`, :func:`tls_solve` and the grid left
 inverse), and the attempt's operator transform, by row ranges into one array
-of contiguous faces, and its per-face work (the power steps, the R-SVD as
-one batched call per range, and the triplet residuals).  Each is split into
-min(count, usable CPUs) contiguous ranges, one on the calling thread and the
-others on the persistent helper threads of a ``ThreadPoolExecutor``.  The
+of contiguous faces, and its per-face work (each power step, with the R-SVD
+as one batched call per range and the triplet residuals after it).  Each is
+split into min(count, usable CPUs) contiguous ranges, one on the calling
+thread and the others on the persistent helper threads of a
+``ThreadPoolExecutor``; the full path puts its real faces first.  The
 CPU count is the process's CPU affinity; there is no option, and on one CPU
 the same code runs one range on the calling thread.
 Every lane and face goes through the same numpy calls as without the split,
@@ -89,10 +92,11 @@ _TEST_MATRIX_SEED = 0
 #: deviation bounds of Halko, Martinsson and Tropp (SIAM Review 53, 2011,
 #: Section 10.3) assume an oversampling of at least 4
 _MARGIN = 4
-#: power steps of ``_leading_tsvd``: with one, triplet 11 of 20 smooth
-#: 128 x 128 x 32 benchmark operators (10 ** -0.5 per index) had residuals up
-#: to 2.1e-13 x the face's largest singular value, above the trust bound; with
-#: two, triplets 1 .. 13 stay below 1.1e-14
+#: most power steps of ``_leading_tsvd``, which yields its factors after
+#: each: with one, triplet 11 of 20 smooth 128 x 128 x 32 benchmark operators
+#: (10 ** -0.5 per index) had residuals up to 2.1e-13 x the face's largest
+#: singular value, above the trust bound, so one step trusts 10 or 11
+#: triplets; with two, triplets 1 .. 13 stay below 1.1e-14 and 12 are trusted
 _POWER_STEPS = 2
 
 
@@ -171,10 +175,12 @@ def _face_svd(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     call per face, so a face has the same bits on any number of CPUs.  A
     face whose imaginary part is exactly zero (faces 0 and n3/2 of a real
     tensor) is decomposed as a real matrix, 1.4x as fast at 64 x 64 (one
-    OpenBLAS thread, 2-vCPU Xeon).  One batched call per range was as
-    fast, but a helper thread's malloc arena kept that batch's temporaries:
-    4 MiB more peak RSS than one call per face on 128 x 128 x 32 tolerance
-    solves, whose set-up runs ``tsvd``.
+    OpenBLAS thread, 2-vCPU Xeon).  The real faces are split first, so
+    that 5 faces on 2 CPUs give the calling thread both real faces and one
+    complex face, not one real and two complex.  One batched call per
+    range was as fast, but a helper thread's malloc arena kept that batch's
+    temporaries: 4 MiB more peak RSS than one call per face on
+    128 x 128 x 32 tolerance solves, whose set-up runs ``tsvd``.
     """
     count, m, n = faces.shape
     r = min(m, n)
@@ -183,9 +189,14 @@ def _face_svd(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                   np.empty((count, r, n), complex).swapaxes(1, 2))
 
     def svd(faces):  # named for the messages of _face_linalg
+        complex_faces = faces.imag.any(axis=(1, 2))
+        # the real faces first: the first range, the calling thread's and never
+        # the shorter, then holds the cheap faces
+        order = np.argsort(complex_faces, kind="stable")
+
         def kernel(lo, hi):
-            for f in range(lo, hi):
-                face = faces[f] if faces[f].imag.any() else faces[f].real
+            for f in order[lo:hi]:
+                face = faces[f] if complex_faces[f] else faces[f].real
                 uf[f], sv[f], vh = np.linalg.svd(face, full_matrices=False)
                 vf[f] = vh.conj().T
 
@@ -216,28 +227,31 @@ def tsvd(a: Tensor3) -> TsvdFactors:
     return TsvdFactors(*_face_svd(_faces(a.data)), a.n3)
 
 
-def _range_finder(af, omega, uf, sv, vf, residual) -> None:
-    """The per-face body of :func:`_leading_tsvd` on a range of faces: from
-    operator faces ``af`` and the test matrix ``omega``, write the face
-    factors of the leading triplets into ``uf``, ``sv`` and ``vf`` and their
+def _range_finder(af, omega, q, uf, sv, vf, residual) -> None:
+    """One power step of :func:`_leading_tsvd` on a range of faces.
+
+    From operator faces ``af`` and the basis ``q`` of the step before (or,
+    with a test matrix ``omega``, from the QR of the sketch ``af @ omega``),
+    make one power step and keep its basis in ``q``; write the face factors
+    of the leading triplets into ``uf``, ``sv`` and ``vf`` and their
     residuals ``|A_f v_j - s_j u_j|`` into ``residual``."""
-    q = np.linalg.qr(af @ omega)[0]
-    for _ in range(_POWER_STEPS):
-        # A^H Q as (Q^H A)^H, so that A's faces are never copied
-        q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
-    pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
+    basis = q if omega is None else np.linalg.qr(af @ omega)[0]
+    # A^H Q as (Q^H A)^H, so that A's faces are never copied
+    q[:] = basis = np.linalg.qr(af @ _adjoint(_adjoint(basis) @ af))[0]
+    pf, rf = np.linalg.qr(_adjoint(_adjoint(basis) @ af))
     # one batched call, not _face_svd: this runs in a range of _face_split, which must not nest
     ur, sv[:], vr = _face_linalg(np.linalg.svd, _adjoint(rf), full_matrices=False)
-    np.matmul(q, ur, out=uf)
+    np.matmul(basis, ur, out=uf)
     np.matmul(pf, _adjoint(vr), out=vf)
     # a helper thread's malloc arena keeps its peak, so free what is done
-    del q, pf
+    del basis, pf
     residual[:] = np.linalg.norm(af @ vf - uf * sv[:, None, :], axis=1)
 
 
-def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
-    """The leading ``p`` singular triplets of every face of ``a``, and how
-    many of them are trusted.
+def _leading_tsvd(a: Tensor3, p: int):
+    """The leading ``p`` singular triplets of every face of ``a`` after each
+    power step, and how many of them are trusted: an iterator of at most
+    ``_POWER_STEPS`` pairs ``(TsvdFactors, trusted)``.
 
     A randomized range finder (Halko, Martinsson and Tropp, SIAM Review 53,
     2011) on the half-spectrum faces ``A_f`` of ``a``, formed once with
@@ -245,14 +259,17 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     Saibaba, Kilmer and Aeron (Numer. Linear Algebra Appl. 25, 2018).
     ``Y_f = A_f Omega`` for one fixed-seed real Gaussian n2 x p matrix
     ``Omega`` shared by every face (so each face's sketch is Gaussian, and
-    faces 0 and n3/2 stay real) and a QR, then ``_POWER_STEPS`` power steps
-    ``A_f (A_f^H Q_f)``, each followed by a QR, give an orthonormal ``Q``.
-    The projection ``B_f = Q_f^H A_f`` is decomposed on the faces by Chan's
-    R-SVD (ACM TOMS 8, 1982): a QR ``B_f^H = P_f R_f`` and the SVD
-    ``R_f^H = U_R S V_R^H`` of a p x p face give ``u = Q U_R`` and
-    ``v = P V_R``.  The result does not depend on numpy's global random
-    state, and repeated calls give identical bits.  A non-finite entry in
-    ``a`` raises ``FaceSvdError`` before any work.
+    faces 0 and n3/2 stay real) and a QR start the basis ``Q``; each power
+    step ``A_f (A_f^H Q_f)``, followed by a QR, continues from the basis of
+    the step before.  After each step the projection ``B_f = Q_f^H A_f`` is
+    decomposed on the faces by Chan's R-SVD (ACM TOMS 8, 1982): a QR
+    ``B_f^H = P_f R_f`` and the SVD ``R_f^H = U_R S V_R^H`` of a p x p face
+    give ``u = Q U_R`` and ``v = P V_R``.  The steps run as the iterator is
+    read, so a caller that stops after the first pays for one step; the
+    factors after step 2 are those of two steps made in one go.  The result
+    does not depend on numpy's global random state, and repeated calls give
+    identical bits.  A non-finite entry in ``a`` raises ``FaceSvdError`` at
+    the call, before the operator is transformed.
 
     Triplet j is trusted when ``|A_f v_j - s_j u_j|`` is at most
     ``PINV_RCOND`` times the largest singular value of face f on every face
@@ -269,12 +286,22 @@ def _leading_tsvd(a: Tensor3, p: int) -> tuple[TsvdFactors, int]:
     lanes = np.moveaxis(af, 0, 2)
     _face_split(lambda lo, hi: np.fft.rfft(a.data[lo:hi], axis=2, out=lanes[lo:hi]), a.n1)
     omega = np.random.default_rng(_TEST_MATRIX_SEED).standard_normal((a.n2, p))
-    out = uf, sv, vf, residual = (np.empty((f, a.n1, p), complex), np.empty((f, p)),
-                                  np.empty((f, a.n2, p), complex), np.empty((f, p)))
-    _face_split(lambda lo, hi: _range_finder(af[lo:hi], omega, *(x[lo:hi] for x in out)), f)
-    ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
-    trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
-    return TsvdFactors(uf, sv, vf, a.n3), trusted
+    return _power_steps(af, omega, np.empty((f, a.n1, p), complex), a.n3)
+
+
+def _power_steps(af, omega, q, n3: int):
+    """The steps of :func:`_leading_tsvd` on its operator faces ``af``, with
+    the basis kept in ``q`` from one step to the next."""
+    f, n1, p = q.shape
+    for step in range(_POWER_STEPS):
+        sketch = omega if step == 0 else None
+        out = uf, sv, vf, residual = (np.empty((f, n1, p), complex), np.empty((f, p)),
+                                      np.empty((f, af.shape[2], p), complex), np.empty((f, p)))
+        _face_split(lambda lo, hi: _range_finder(af[lo:hi], sketch, q[lo:hi],
+                                                 *(x[lo:hi] for x in out)), f)
+        ok = (residual <= PINV_RCOND * sv[:, :1]).all(axis=0)
+        trusted = min(int(np.logical_and.accumulate(ok).sum()), p - _MARGIN)
+        yield TsvdFactors(uf, sv, vf, n3), trusted
 
 
 def ttsvd(a: Tensor3, k: int) -> tuple[TsvdFactors, Tensor3]:

@@ -1,3 +1,4 @@
+import importlib
 import multiprocessing
 
 import numpy as np
@@ -45,6 +46,8 @@ from textrap import (
 from textrap import tensor_core, trre_tsvd_solver
 from textrap.trre_tsvd_solver import _sequence
 from textrap.tsvd import PINV_RCOND, _leading_tsvd
+
+tsvd_module = importlib.import_module("textrap.tsvd")
 
 RNG = np.random.default_rng(20240806)
 
@@ -790,7 +793,7 @@ def test_truncated_attempt_matches_the_full_path(n, n3, rate, tilt, tol, seed, s
     if np.any(np.abs(np.log10(sv[:, :16] / (PINV_RCOND * sv[:, :1]))) < 1.0):
         # a term near the pseudo-inverse cutoff may be cut by one factorization
         # and kept by the other: the reference uses the same factorization
-        factors, _ = _leading_tsvd(a, 16)
+        factors = _accepted_factors(a, b, tol, shift)
         _same_path(report, loop_solve_path(_sequence(factors, b, 16), tol, shift, x))
         return
     ref = loop_solve_path(state, tol, shift, x)
@@ -801,6 +804,17 @@ def test_truncated_attempt_matches_the_full_path(n, n3, rate, tilt, tol, seed, s
     units = np.finfo(float).eps * np.max(sv[:, 0]) / np.min(sv[:, last])
     got, want = report.t_k.data, ref["t_k"].data
     assert np.linalg.norm(got - want) <= T_K_UNITS * units * np.linalg.norm(want)
+
+
+def _accepted_factors(a, b, tol, shift):
+    """The factors whose sequence gave the result of ``solve(a, b, tol, shift=shift)``:
+    the last that the solve made a sequence of."""
+    seen = []
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(trre_tsvd_solver, "_sequence",
+                    lambda factors, *args: seen.append(factors) or _sequence(factors, *args))
+        solve(a, b, tol_eps=tol, shift=shift)
+    return seen[-1]
 
 
 def test_smooth_tolerance_solve_is_decided_by_the_leading_triplets(monkeypatch):
@@ -912,6 +926,81 @@ def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):
     assert calls == ["_leading_tsvd", "build_sequence"]
     assert report.triplets == 64
     _same_path(report, ref, rtol=0.0)
+
+
+def _count_ranges(monkeypatch, cpus):
+    """Patch the usable CPUs to ``cpus`` and return the list to which every
+    range of a power step appends its number of faces."""
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: cpus)
+    ranges = []
+    kernel = tsvd_module._range_finder
+    monkeypatch.setattr(tsvd_module, "_range_finder",
+                        lambda af, *out: ranges.append(len(af)) or kernel(af, *out))
+    return ranges
+
+
+@pytest.mark.parametrize("n, n3, seed", [(64, 4, 11), (128, 32, 0)])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_a_smooth_tolerance_solve_is_decided_after_one_power_step(monkeypatch, n, n3, seed, tol):
+    a, b, x, sv = smooth_spectral_problem(n, n3, 0.5, 0.2, np.random.default_rng(seed))
+    state = build_sequence(a, b)
+    ref = loop_solve_path(state, tol, x_true=x)
+    ranges = _count_ranges(monkeypatch, 2)
+    _truncated_only(monkeypatch)
+    report = solve(a, b, tol_eps=tol, x_true=x)
+    # one call per range: the faces split once, in one power step
+    assert report.triplets == 16
+    assert len(ranges) == min(n3 // 2 + 1, 2) and sum(ranges) == n3 // 2 + 1
+    assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"] == "tolerance"
+    assert report.kept_indices == tuple(j for j in state.kept_indices if j <= 16)
+    last = report.kept_indices[report.final_k] - 1  # the last term the path read
+    units = np.finfo(float).eps * np.max(sv[:, 0]) / np.min(sv[:, last])
+    got, want = report.t_k.data, ref["t_k"].data
+    assert np.linalg.norm(got - want) <= T_K_UNITS * units * np.linalg.norm(want)
+
+
+def test_a_term_the_first_step_could_not_trust_takes_the_second(monkeypatch):
+    # at 10**-0.4 per index one power step trusts 7 triplets and two trust
+    # 12, and the path stops at k = 9, reading term 10
+    a, b, x, _ = smooth_spectral_problem(64, 5, 0.4, 0.0, np.random.default_rng(0))
+    steps = [*_leading_tsvd(a, 16)]
+    assert [trusted for _, trusted in steps] == [7, 12]
+    ref = loop_solve_path(build_sequence(a, b), 1e-3, x_true=x)
+    ranges = _count_ranges(monkeypatch, 1)
+    _truncated_only(monkeypatch)
+    report = solve(a, b, tol_eps=1e-3, x_true=x)
+    assert report.triplets == 16 and ranges == [3, 3]
+    assert report.kept_indices[report.final_k] == 10
+    assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"]
+    # the result is the k-path on the factors of the last step
+    shift = trre_tsvd_solver.DEFAULT_THETA_SHIFT
+    t = trre_tsvd_solver._k_path(_sequence(steps[-1][0], b, 16), 1e-3, shift)[0]
+    want = Tensor3(np.fft.irfft(t[-1], n=5, axis=-1)[:, None, :])
+    assert report.t_k.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("problem, tol", [
+    ((128, 32, 1.2, 0.0, 400), 1e-14),  # numerically low rank: the attempt runs out of terms
+    ((64, 4, 0.5, 0.2, 14), 1e-300),  # a tolerance no step meets
+])
+def test_an_outcome_past_the_trustable_terms_skips_the_second_step(monkeypatch, problem, tol):
+    # the outcome needs a term past the 12 that any step can trust, so the
+    # full path follows the first power step, and gives the result of the
+    # full path alone (tol_eps = 0, as the tolerance is never met)
+    n, n3, rate, tilt, seed = problem
+    a, b, x, _ = smooth_spectral_problem(n, n3, rate, tilt, np.random.default_rng(seed))
+    want = solve(a, b, tol_eps=0.0, x_true=x)
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 1)
+    calls = []
+    for module, name in ((tsvd_module, "_range_finder"), (trre_tsvd_solver, "build_sequence")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    report = solve(a, b, tol_eps=tol, x_true=x)
+    assert calls == ["_range_finder", "build_sequence"]
+    assert report.triplets == n == want.triplets
+    assert report.ks == want.ks and report.stop_reason == want.stop_reason == "k_max"
+    assert report.kept_indices == want.kept_indices
+    assert report.t_k.data.tobytes() == want.t_k.data.tobytes()
 
 
 def rank_cut_problem(n=64, n3=4, rank=3):

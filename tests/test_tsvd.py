@@ -33,8 +33,8 @@ from textrap import (
 )
 
 from textrap import tensor_core
-from textrap.tensor_core import _face_linalg, _faces
-from textrap.tsvd import _MARGIN, PINV_RCOND, _leading_tsvd
+from textrap.tensor_core import _adjoint, _face_linalg, _faces
+from textrap.tsvd import _MARGIN, _POWER_STEPS, PINV_RCOND, _leading_tsvd
 
 tsvd_module = importlib.import_module("textrap.tsvd")
 
@@ -205,7 +205,7 @@ def test_factors_keep_their_faces_private_and_make_tensors_on_first_read():
     assert public == {"u", "s", "v", "r", "face_singular_values", "reconstruction",
                       "orthogonality_residual", "f_diagonality_residual"}
     for factors in (tsvd(rand(5, 4, 3)), ttsvd(rand(5, 4, 3), 2)[0],
-                    _leading_tsvd(rand(64, 64, 3), 16)[0]):
+                    _last_step(rand(64, 64, 3))[0]):
         lazy = ("u", "s", "v", "face_singular_values")
         assert not set(lazy) & set(vars(factors))
         first = [getattr(factors, name) for name in lazy]
@@ -242,11 +242,16 @@ def _geometric(n, n3, rate, seed):
     return spectral_operator(sv, n3, np.random.default_rng(seed))[0]
 
 
+def _last_step(a):
+    """``(factors, trusted)`` of the last power step of ``_leading_tsvd(a, 16)``."""
+    return [*_leading_tsvd(a, 16)][-1]
+
+
 @pytest.mark.parametrize("n3", [1, 2, 5, 8])
 @pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.5, 0.8, 1.2])
 def test_leading_tsvd_trusts_only_resolved_triplets(n3, rate):
     a = _geometric(64, n3, rate, seed=int(10 * rate) + n3)
-    factors, trusted = _leading_tsvd(a, 16)
+    factors, trusted = _last_step(a)
     full = tsvd(a)
     assert factors.r == 16 and factors.u.dims == (64, 16, n3) and factors.v.dims == (64, 16, n3)
     assert 0 <= trusted <= 16 - _MARGIN
@@ -273,7 +278,7 @@ def test_margin_keeps_unresolved_trailing_triplets_out():
     # while index 13 already misses by 1e-11 of the largest
     assert _MARGIN >= 4
     a = _geometric(64, 2, 0.26, seed=2)
-    factors, trusted = _leading_tsvd(a, 16)
+    factors, trusted = _last_step(a)
     full = tsvd(a)
     miss = np.max(np.abs(factors.face_singular_values - full.face_singular_values[:, :16]), axis=0)
     miss /= np.max(full.face_singular_values[:, 0])
@@ -296,7 +301,7 @@ def test_leading_tsvd_never_calls_tsvd(monkeypatch):
 
     module = importlib.import_module("textrap.tsvd")
     monkeypatch.setattr(module, "tsvd", refuse)
-    factors, trusted = _leading_tsvd(_geometric(64, 4, 0.5, seed=4), 16)
+    factors, trusted = _last_step(_geometric(64, 4, 0.5, seed=4))
     assert factors.r == 16 and trusted == 16 - _MARGIN
 
 
@@ -306,7 +311,7 @@ def test_trusted_triplets_meet_the_bound_from_the_returned_tensors(n3, rate):
     # faces 0 and n3/2 of the factors are exactly real, so the bound the
     # attempt checked on its face arrays survives the transform back
     a = _geometric(64, n3, rate, seed=n3)
-    factors, trusted = _leading_tsvd(a, 16)
+    factors, trusted = _last_step(a)
     assert trusted > 0
     af, uf, vf = (_faces(t.data) for t in (a, factors.u, factors.v))
     sv = factors.face_singular_values[: n3 // 2 + 1]
@@ -341,12 +346,14 @@ def test_leading_tsvd_has_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
         for cpus in (1, 2, 3):
             monkeypatch.setattr(tensor_core, "_usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
-            results.append(_leading_tsvd(Tensor3(data), 16))
+            results.append([*_leading_tsvd(Tensor3(data), 16)])
             parts = min(n3 // 2 + 1, cpus)
-            # ranges that cover every face, one on this thread and the others
-            # on helper threads
-            assert len(calls) == parts and sum(len(af) for _, af in calls) == n3 // 2 + 1
-            assert [thread for thread, _ in calls].count(threading.current_thread()) == 1
+            # per power step, ranges that cover every face, one on this thread
+            # and the others on helper threads
+            assert len(results[-1]) == _POWER_STEPS
+            assert len(calls) == parts * _POWER_STEPS
+            assert sum(len(af) for _, af in calls) == (n3 // 2 + 1) * _POWER_STEPS
+            assert [thread for thread, _ in calls].count(threading.current_thread()) == _POWER_STEPS
             # the ranges are slices of one face array, transformed by row
             # ranges with the bits of one transform of the operator; each face
             # is contiguous in the operator's order of rows and columns
@@ -356,13 +363,63 @@ def test_leading_tsvd_has_the_same_bits_on_any_number_of_cpus(monkeypatch, n3):
                 assert np.array_equal(af, want_faces[lo : lo + len(af)]), layout
                 assert af[0].flags.c_contiguous == (layout != "F"), layout
                 assert af[0].flags.f_contiguous == (layout == "F"), layout
-    (want, trusted), *others = results
-    assert trusted == 16 - _MARGIN
-    for got, got_trusted in others:
-        assert got_trusted == trusted
-        for name in ("u", "s", "v"):
-            assert np.array_equal(getattr(got, name).data, getattr(want, name).data)
-        assert np.array_equal(got.face_singular_values, want.face_singular_values)
+    first, *others = results
+    assert first[-1][1] == 16 - _MARGIN
+    for steps in others:
+        for (got, got_trusted), (want, trusted) in zip(steps, first):
+            assert got_trusted == trusted
+            for name in ("u", "s", "v"):
+                assert np.array_equal(getattr(got, name).data, getattr(want, name).data)
+            assert np.array_equal(got.face_singular_values, want.face_singular_values)
+
+
+def _power_scheme(af, omega, steps):
+    """Face factors after ``steps`` power steps made in one go on the faces
+    ``af``, then the R-SVD: the range finder of ``_leading_tsvd`` with its
+    steps in one loop."""
+    q = np.linalg.qr(af @ omega)[0]
+    for _ in range(steps):
+        q = np.linalg.qr(af @ _adjoint(_adjoint(q) @ af))[0]
+    pf, rf = np.linalg.qr(_adjoint(_adjoint(q) @ af))
+    ur, sv, vr = np.linalg.svd(_adjoint(rf), full_matrices=False)
+    return q @ ur, sv, pf @ _adjoint(vr)
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 4), (96, 64, 7), (64, 80, 1)])
+def test_each_power_step_continues_the_one_before(monkeypatch, dims):
+    # step s yields the bits of s power steps made in one go, on either
+    # memory layout (on any number of CPUs by the test above), and reading
+    # step 2 leaves the factors of step 1 as they were
+    n1, n2, n3 = dims
+    data = _geometric(max(n1, n2), n3, 0.3, seed=n3).data[:n1, :n2]
+    omega = np.random.default_rng(tsvd_module._TEST_MATRIX_SEED).standard_normal((n2, 16))
+    kernel = tsvd_module._range_finder
+    faces = []
+
+    def recorded(af, *out):
+        faces.append(af)
+        return kernel(af, *out)
+
+    monkeypatch.setattr(tsvd_module, "_range_finder", recorded)
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 1)
+    for layout in ("C", "F"):
+        a = Tensor3(np.asfortranarray(data) if layout == "F" else np.ascontiguousarray(data))
+        faces.clear()
+        steps = _leading_tsvd(a, 16)
+        first = next(steps)
+        first_bytes = _factor_bytes(first[0])
+        got = [first, *steps]
+        assert _factor_bytes(first[0]) == first_bytes
+        # one range per step: the operator's faces as the range finder reads them
+        assert len(got) == len(faces) == _POWER_STEPS and len(faces[0]) == n3 // 2 + 1
+        want = [[x.tobytes() for x in _power_scheme(faces[0], omega, count)]
+                for count in range(1, _POWER_STEPS + 1)]
+        assert [_factor_bytes(factors) for factors, _ in got] == want, layout
+        assert all(0 <= trusted <= 16 - _MARGIN for _, trusted in got)
+
+
+def _factor_bytes(factors):
+    return [x.tobytes() for x in (factors._uf, factors._sv, factors._vf)]
 
 
 def test_one_face_starts_no_helper_thread(monkeypatch):
@@ -384,9 +441,9 @@ def test_one_face_starts_no_helper_thread(monkeypatch):
 
     monkeypatch.setattr(tsvd_module, "_range_finder", recorded)
     calls.clear()
-    factors, trusted = _leading_tsvd(_geometric(64, 1, 0.5, seed=1), 16)
+    factors, trusted = _last_step(_geometric(64, 1, 0.5, seed=1))
     assert factors.r == 16 and trusted == 16 - _MARGIN
-    assert calls == [(here, 1)]
+    assert calls == [(here, 1)] * _POWER_STEPS
 
 
 class _RefusingHelpers:
@@ -411,7 +468,7 @@ def test_an_error_in_a_helper_range_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(tsvd_module, "_range_finder", fails_off_the_calling_thread)
     with pytest.raises(_HelperRangeError) as info:
-        _leading_tsvd(_geometric(64, 8, 0.5, seed=8), 16)
+        _last_step(_geometric(64, 8, 0.5, seed=8))
     assert finished == [3] and info.value.args == (2,)
 
 
@@ -432,12 +489,12 @@ def test_concurrent_callers_share_the_helper_threads(monkeypatch):
     # more callers and ranges than cores, with a short switch interval
     monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 3)
     a = _geometric(64, 8, 0.5, seed=10)
-    want, _ = _leading_tsvd(a, 16)
+    want, _ = _last_step(a)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as callers:
-            futures = [callers.submit(_leading_tsvd, a, 16) for _ in range(8)]
+            futures = [callers.submit(_last_step, a) for _ in range(8)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -614,5 +671,25 @@ def test_an_svd_failure_in_a_helper_range_raises_face_svd_error(monkeypatch):
     assert str(info.value) == "svd failed on the DFT faces: SVD did not converge"
     assert info.value.face_index is None
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
-    # the calling thread's range, faces 0 .. 2 of 5, ran to its end
+    # the calling thread's range, the real faces 0 and 4 and the complex
+    # face 1 of 5, ran to its end
     assert done == [(6, 5)] * 3
+
+
+@pytest.mark.parametrize("n3, here, helper", [(8, "rrc", "cc"), (7, "rc", "cc"), (2, "r", "r")])
+def test_the_real_faces_run_first(monkeypatch, n3, here, helper):
+    # a real face costs about half a complex one, so the first range, the
+    # longer and the calling thread's, takes them: of faces 0 .. 4 at
+    # n3 = 8 the calling thread decomposes 0, 4 and 1, the helper 2 and 3
+    monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+    svd = np.linalg.svd
+    kinds = {}
+
+    def recorded(face, *args, **kwargs):
+        kinds.setdefault(threading.current_thread() is threading.main_thread(), []).append(
+            "c" if np.iscomplexobj(face) else "r")
+        return svd(face, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    tsvd(rand(6, 5, n3))
+    assert "".join(kinds[True]) == here and "".join(kinds[False]) == helper
