@@ -81,7 +81,7 @@ class FaceSvdError(TextrapError):
 
 
 class NumericalConsistencyError(TextrapError):
-    """An internal identity that must hold numerically failed beyond tolerance."""
+    """An internal identity failed beyond tolerance, or a value left the floating-point range."""
 
 
 class InsufficientSequenceError(TextrapError, ValueError):

@@ -39,9 +39,10 @@ from .tensor_core import (
     Stack4,
     Tensor3,
     _adjoint,
+    _blocks,
     _faces,
+    _layout,
     _require_int,
-    _stack_layout,
     _unfaces,
     _wrap,
     frobenius_norm,
@@ -190,7 +191,7 @@ def _solve_stacked_faces(big: np.ndarray, rhs: np.ndarray, k: int, n3: int) -> S
     the stack of the k solution tensors of dims (q, m, n3).
     """
     solution = _unfaces(_face_solve(big, rhs, "block system "), n3)
-    return _wrap(Stack4, solution.data.reshape(k, -1, *solution.dims[1:]))
+    return _wrap(Stack4, _blocks(solution, k, 1)[:, 0])
 
 
 def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
@@ -219,8 +220,8 @@ def solve_beta_system(l: Stack4, v: Stack4, rhs: Tensor3) -> Stack4:
         raise DimensionMismatchError(
             f"beta system shapes disagree: l {l.dims}, v {v.dims}, rhs {rhs.dims}"
         )
-    lh = _adjoint(_faces(_stack_layout(l).data))
-    big = lh @ _faces(_stack_layout(v).data)
+    lh = _adjoint(_faces(_layout(l._data[None]).data))
+    big = lh @ _faces(_layout(v._data[None]).data)
     return _solve_stacked_faces(big, -(lh @ _faces(rhs.data)), k, rhs.n3)
 
 
@@ -240,7 +241,7 @@ def beta_to_gamma(beta: Stack4) -> Stack4:
         raise DimensionMismatchError(f"beta slices must be square, got {beta.dims}")
     total = np.concatenate([identity_tensor(q1, n3).data[None], beta._data]).sum(axis=0)
     inv = tinverse(Tensor3(total))
-    gammas = tprod(_stack_layout(beta, on_top=True), inv).data.reshape(k, q1, q1, n3)
+    gammas = _blocks(tprod(_layout(beta._data[:, None]), inv), k, 1)[:, 0]
     return _wrap(Stack4, np.concatenate([gammas, inv.data[None]]))
 
 
@@ -351,10 +352,10 @@ def ttea_solve(seq: TensorSequence, n: int, k: int, y: Tensor3) -> tuple[Tensor3
     yh = _adjoint(_faces(y.data))
     # face blocks y^H D2S_m for every m side by side; block row j is the
     # window m = j .. j+k-1, so the rows are Hankel
-    moments = yh @ _faces(_stack_layout(delta2).data)
+    moments = yh @ _faces(_layout(delta2._data[None]).data)
     big = np.concatenate([moments[:, :, j * n2 : (j + k) * n2] for j in range(k)], axis=1)
     # block row j of the right-hand side is -y^H DS_j
-    first = -(yh @ _faces(_stack_layout(delta[:k]).data))
+    first = -(yh @ _faces(_layout(delta._data[None, :k]).data))
     f, p = first.shape[:2]
     rhs = first.reshape(f, p, k, n2).transpose(0, 2, 1, 3).reshape(f, k * p, n2)
     betas = _solve_stacked_faces(big, rhs, k, n3)

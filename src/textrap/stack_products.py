@@ -8,9 +8,11 @@ of an l-stack with a k-stack is the k x l grid with
 stack along mode 4; bar-star contracts two equal grids along mode 5.  All
 three reduce to familiar matrix constructions when every block is
 1 x 1 x 1.  Each contraction (star, bar-star) is one T-product: the
-operands are laid out as block tensors by a transpose and reshape of their
-arrays, the T-product multiplies all faces in a single batched matmul, and
-a reshape of the result gives its blocks.
+operands are laid out as block tensors by ``tensor_core._layout``, the
+T-product multiplies all faces in a single batched matmul, and
+``tensor_core._blocks`` splits the result into its blocks.  The diamond
+product is one broadcast matmul over the faces of every block pair, with no
+block tensor.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .tensor_core import (
     Stack4,
     Stack5,
     Tensor3,
+    _blocks,
     _faces,
-    _grid_layout,
-    _stack_layout,
+    _layout,
     _unfaces,
     _wrap,
 )
-from .tproduct_algebra import IDENTITY_TOL, tprod, ttranspose
+from .tproduct_algebra import IDENTITY_TOL, tprod
 from .tsvd import _face_pinv, _face_svd
 
 __all__ = [
@@ -41,14 +43,6 @@ __all__ = [
 ]
 
 
-def _grid_of(t: Tensor3, k: int, ell: int, transpose: bool = False) -> Stack5:
-    """The k x l grid whose ``_grid_layout`` (with ``transpose``) is ``t``."""
-    rows, cols = (ell, k) if transpose else (k, ell)
-    n1, n2, n3 = t.dims
-    blocks = t.data.reshape(rows, n1 // rows, cols, n2 // cols, n3)
-    return _wrap(Stack5, blocks.transpose((2, 0, 1, 3, 4) if transpose else (0, 2, 1, 3, 4)))
-
-
 def diamond(a: Stack4, b):
     """Diamond product of stacks.
 
@@ -56,20 +50,23 @@ def diamond(a: Stack4, b):
     single Tensor3 (degenerate case).  The full case returns the k x l
     Stack5 with ``block(j, i) = ttranspose(a[i]) * b[j]``; the degenerate
     case returns the Stack4 whose i-th slice is ``ttranspose(a[i]) * b``.
+    All blocks are one broadcast face product.
     """
-    if a.count == 0:
-        raise DimensionMismatchError("diamond requires a non-empty left stack")
-    if isinstance(b, Tensor3):
-        return Stack4(tprod(ttranspose(ai), b) for ai in a)
-    if not isinstance(b, Stack4) or b.count == 0:
-        raise DimensionMismatchError("diamond requires a Tensor3 or non-empty Stack4 right operand")
-    if a.dims[0] != b.dims[0] or a.dims[2] != b.dims[2]:
+    if a.count == 0 or not (isinstance(b, Tensor3) or isinstance(b, Stack4) and b.count):
+        raise DimensionMismatchError(
+            "diamond requires a non-empty left stack and a Tensor3 or non-empty Stack4")
+    n1, _, n3 = a.dims
+    if b.dims[0] != n1 or b.dims[2] != n3:
         raise DimensionMismatchError(
             f"diamond operands must agree in n1 and n3: {a.dims} vs {b.dims}"
         )
-    return Stack5(
-        tuple(tprod(ttranspose(ai), bj) for ai in a) for bj in b
-    )
+    # the members' tensor transposes laid out as ttranspose makes them (each
+    # slice transposed, slices 1 .. n3-1 reversed, C order), so that every
+    # face product rounds as in that T-product
+    at = np.take(a._data.swapaxes(1, 2), -np.arange(n3), axis=-1)
+    if isinstance(b, Tensor3):
+        return _unfaces(_faces(at) @ _faces(b.data), n3, Stack4)
+    return _unfaces(_faces(at) @ _faces(b._data)[:, None], n3, Stack5)
 
 
 def star(a, b: Stack4):
@@ -80,23 +77,17 @@ def star(a, b: Stack4):
     same count as ``b`` the result collapses to the single Tensor3
     ``sum_j a[j] * b[j]``.
     """
-    if b.count == 0:
-        raise DimensionMismatchError("star requires a non-empty right stack")
-    if isinstance(a, Stack4):
-        if a.count != b.count:
-            raise DimensionMismatchError(
-                f"star stack counts disagree: {a.count} vs {b.count}"
-            )
-        return tprod(_stack_layout(a), _stack_layout(b, on_top=True))
-    if not isinstance(a, Stack5):
+    if not isinstance(a, (Stack4, Stack5)):
         raise DimensionMismatchError("star left operand must be a Stack4 or Stack5")
-    k, ell = a.grid_shape
-    if k != b.count:
+    grid = a._data[:, None] if isinstance(a, Stack4) else a._data  # a Stack4 is a k x 1 grid
+    if b.count == 0 or len(grid) != b.count:
         raise DimensionMismatchError(
-            f"star requires mode-4 extent {k} to match slice count {b.count}"
+            f"star needs a non-empty right stack of the left operand's mode-4 extent "
+            f"{len(grid)}, got {b.count} slices"
         )
-    out = tprod(_grid_layout(a, transpose=True), _stack_layout(b, on_top=True))
-    return _wrap(Stack4, out.data.reshape(ell, -1, *out.dims[1:]))
+    out = tprod(_layout(grid.swapaxes(0, 1)), _layout(b._data[:, None]))
+    members = _blocks(out, grid.shape[1], 1)[:, 0]
+    return _wrap(Tensor3, members[0]) if isinstance(a, Stack4) else _wrap(Stack4, members)
 
 
 def bar_star(a: Stack5, b: Stack5) -> Stack5:
@@ -110,9 +101,9 @@ def bar_star(a: Stack5, b: Stack5) -> Stack5:
             f"bar-star grid shapes disagree: {a.grid_shape} vs {b.grid_shape}"
         )
     k, _ = a.grid_shape
-    prod = tprod(_grid_layout(a), _grid_layout(b, transpose=True))
+    prod = tprod(_layout(a._data), _layout(b._data.swapaxes(0, 1)))
     # block (eta, tau) of the product is block (tau, eta) of the result
-    return _grid_of(prod, k, k, transpose=True)
+    return _wrap(Stack5, _blocks(prod, k, k).swapaxes(0, 1))
 
 
 def adjoint_swap(a: Stack5) -> Stack5:
@@ -160,7 +151,7 @@ def left_inverse(b: Stack5) -> Stack5:
         raise DimensionMismatchError(
             f"no left inverse: stacked face system is {ell * n1} x {k * n2} (underdetermined)"
         )
-    stacked = _faces(_grid_layout(b, transpose=True).data)
+    stacked = _faces(_layout(b._data.swapaxes(0, 1)).data)
     pinv = _face_pinv(*_face_svd(stacked))
     residual = np.linalg.norm(pinv @ stacked - np.eye(k * n2), axis=(1, 2))
     bad = np.flatnonzero(~(residual <= IDENTITY_TOL))
@@ -171,4 +162,4 @@ def left_inverse(b: Stack5) -> Stack5:
             f"(left-identity residual {residual[f]:.3e})",
             face_index=f,
         )
-    return _grid_of(_unfaces(pinv, n3), k, ell)
+    return _wrap(Stack5, _blocks(_unfaces(pinv, n3), k, ell))

@@ -20,8 +20,9 @@ real by construction.  The private kernel below (``_faces``,
 ``_face_linalg``, ``_unfaces``) holds it as an ``(F, m, n)`` stack, face
 first, so that per-face linear algebra is a single batched ``np.linalg``
 call (the full face SVD of ``tsvd`` makes one call per face, split over
-the CPUs by ``_face_split``); ``tprod``, the range finder in ``tsvd`` and
-the solver's sequence call ``np.fft`` themselves.  The full spectrum of a tensor ``t`` is
+the CPUs by ``_face_split``) and a T-product one batched matmul; only the
+range finder in ``tsvd`` and the solver's sequence call ``np.fft``
+themselves.  The full spectrum of a tensor ``t`` is
 ``np.fft.fft(t.data, axis=2)``.  Public arrays in the face domain:
 
 - ``InvertibilityReport.face_min_sv`` and ``face_max_sv``: ``(n3,)``, all
@@ -49,8 +50,8 @@ drops directions instead of refusing, so it stays per face, as
 A Stack4 (4-mode tensor) holds its members as one read-only
 ``(count, n1, n2, n3)`` array and a Stack5 (5-mode tensor) its blocks as
 one read-only ``(k, l, n1, n2, n3)`` array; members and blocks are
-Tensor3 views of it, made on access.  Stack contractions lay the members
-out as one block tensor by a transpose and reshape of that array.
+Tensor3 views of it, made on access.  Every block layout of them, and
+its inverse, is the one pair ``_layout`` and ``_blocks``.
 
 All slice and face indices in this package are 0-based.
 """
@@ -343,23 +344,20 @@ class Stack5(_ArrayStack):
         return f"Stack5(grid={k}x{ell}, block_dims={self.block_dims})"
 
 
-def _stack_layout(stack: Stack4, on_top: bool = False) -> Tensor3:
-    """The members of a non-empty stack laid out as one block tensor: side
-    by side along mode 2, or on top of each other along mode 1."""
-    count, n1, n2, n3 = stack._data.shape
-    if on_top:
-        return _wrap(Tensor3, stack._data.reshape(count * n1, n2, n3))
-    return _wrap(Tensor3, stack._data.transpose(1, 0, 2, 3).reshape(n1, count * n2, n3))
+def _layout(blocks: np.ndarray) -> Tensor3:
+    """A ``(rows, cols, n1, n2, n3)`` array of blocks laid out as one block
+    tensor, block ``(i, j)`` at block row ``i`` and block column ``j``: a
+    stack's ``_data[None]`` puts its members side by side, ``_data[:, None]``
+    on top of each other, and a grid's ``_data.swapaxes(0, 1)`` transposes it."""
+    rows, cols, n1, n2, n3 = blocks.shape
+    return _wrap(Tensor3, blocks.transpose(0, 2, 1, 3, 4).reshape(rows * n1, cols * n2, n3))
 
 
-def _grid_layout(grid: Stack5, transpose: bool = False) -> Tensor3:
-    """The blocks of a grid laid out as one block tensor: block ``(i, j)``
-    at block row ``i`` and block column ``j``, or with ``transpose`` at
-    block row ``j`` and block column ``i``."""
-    rows, cols = (1, 0) if transpose else (0, 1)
-    shape = grid._data.shape
-    arr = grid._data.transpose(rows, 2, cols, 3, 4)
-    return _wrap(Tensor3, arr.reshape(shape[rows] * shape[2], shape[cols] * shape[3], shape[4]))
+def _blocks(t: Tensor3, rows: int, cols: int) -> np.ndarray:
+    """The ``(rows, cols, ...)`` blocks of the block tensor ``t``, as a view:
+    the inverse of :func:`_layout`."""
+    n1, n2, n3 = t.dims
+    return t.data.reshape(rows, n1 // rows, cols, n2 // cols, n3).transpose(0, 2, 1, 3, 4)
 
 
 def identity_tensor(n: int, n3: int) -> Tensor3:
@@ -425,8 +423,9 @@ def fold(m, dims: tuple[int, int, int]) -> Tensor3:
 
 
 def _faces(data: np.ndarray) -> np.ndarray:
-    """Half-spectrum faces of a real ``(m, n, n3)`` array as an ``(F, m, n)`` stack."""
-    return np.moveaxis(np.fft.rfft(data, axis=2), 2, 0)
+    """Half-spectrum faces of a real ``(..., m, n, n3)`` array as an
+    ``(..., F, m, n)`` stack."""
+    return np.moveaxis(np.fft.rfft(data, axis=-1), -1, -3)
 
 
 def _adjoint(faces: np.ndarray) -> np.ndarray:
@@ -434,9 +433,10 @@ def _adjoint(faces: np.ndarray) -> np.ndarray:
     return faces.conj().swapaxes(1, 2)
 
 
-def _unfaces(faces: np.ndarray, n3: int) -> Tensor3:
-    """The real ``(m, n, n3)`` tensor whose half-spectrum faces are ``faces``."""
-    return Tensor3(np.moveaxis(np.fft.irfft(faces, n=n3, axis=0), 0, 2))
+def _unfaces(faces: np.ndarray, n3: int, cls=Tensor3):
+    """The real ``(..., m, n, n3)`` tensor (or, with ``cls``, stack) whose
+    half-spectrum faces are ``faces``, holding the fresh inverse transform."""
+    return _wrap(cls, np.moveaxis(np.fft.irfft(faces, n=n3, axis=-3), -3, -1))
 
 
 def _require_finite(t: Tensor3, name: str) -> None:

@@ -3,9 +3,10 @@
 Everything is computed on the DFT faces: a T-product, an inverse or a
 definiteness test of real tensors is an independent matrix problem on each
 face of the real-FFT half spectrum (see :mod:`textrap.tensor_core`), solved
-for all faces at once, then transformed back.  A T-product multiplies its
-faces by one batched matmul; an inverse or a definiteness test is one
-batched ``np.linalg`` call.  This is equivalent to the block-circulant definition
+for all faces at once by the kernel of :mod:`textrap.tensor_core`, then
+transformed back.  A T-product multiplies its faces by one batched matmul;
+an inverse or a definiteness test is one batched ``np.linalg`` call.  This
+is equivalent to the block-circulant definition
 ``fold(bcirc(x) @ matvec(y))`` but costs ``O(n1 n2 m2 n3)`` per face set
 instead of materializing the circulant.  ``bcirc`` itself stays in
 :mod:`textrap.tensor_core` as a capped test oracle.
@@ -126,11 +127,7 @@ def tprod(x: Tensor3, y: Tensor3) -> Tensor3:
         )
     if x.n3 != y.n3:
         raise DimensionMismatchError(f"n3 disagrees: {x.dims} * {y.dims}")
-    # real-input FFT computes only the non-redundant faces, so the inverse is
-    # exactly real; the transposes to face-first order are views, not copies
-    xf = np.fft.rfft(x.data, axis=2).transpose(2, 0, 1)
-    yf = np.fft.rfft(y.data, axis=2).transpose(2, 0, 1)
-    return Tensor3(np.fft.irfft((xf @ yf).transpose(1, 2, 0), n=x.n3, axis=2))
+    return _unfaces(_faces(x.data) @ _faces(y.data), x.n3)
 
 
 def ttranspose(x: Tensor3) -> Tensor3:

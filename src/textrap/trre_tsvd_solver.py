@@ -68,6 +68,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientSequenceError,
     InvalidParameterError,
+    NumericalConsistencyError,
 )
 from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
 from .tproduct_algebra import _refusal, _singular, tprod, ttranspose
@@ -211,8 +212,9 @@ class SolverReport:
     original indices of the sequence terms that survived the drop rule, and
     ``triplets`` the singular triplets per face of the factorization the
     result came from: 16 for an accepted truncated attempt, else
-    min(n1, n2).  ``phase_seconds`` splits the wall time into building the
-    sequence, which includes rejected attempts (each power step's
+    min(n1, n2); ``power_steps`` the range-finder steps the truncated attempt
+    ran (0 without one).  ``phase_seconds`` splits the wall time into building
+    the sequence, which includes rejected attempts (each power step's
     decomposition, sequence and k-path), and the k-path that gave the result.
     """
 
@@ -226,6 +228,7 @@ class SolverReport:
     t_k: Tensor3 | None = None
     kept_indices: tuple = ()
     triplets: int = 0
+    power_steps: int = 0
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -249,6 +252,7 @@ class SolverReport:
             "phase_seconds": dict(self.phase_seconds),
             "kept_indices": list(self.kept_indices),
             "triplets": self.triplets,
+            "power_steps": self.power_steps,
         }
         if any(e is not None for e in self.errors):
             out["relative_errors"] = list(self.errors)
@@ -313,8 +317,9 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
         return t[:k], res[: k - 1], eta[: k - 1], t_norms[:k], k + 1, None
     step = max(2, first_singular + 1)
     if step < state.count:  # the path reaches the step that inverts it
-        j = first_singular
-        error = _refusal(shifted[j, :, None], f"Theta_{j + 1} at step k={step}: ")
+        j, what = first_singular, f"Theta_{first_singular + 1} at step k={step}"
+        error = (_refusal(shifted[j, :, None], what + ": ") if np.isfinite(shifted[j]).all()
+                 else NumericalConsistencyError(f"{what} overflowed; rescale a or b"))
         return None, None, None, None, step + 1, error
     return t, res, eta, t_norms, None, None
 
@@ -326,8 +331,8 @@ def _norms(faces: np.ndarray, parseval: np.ndarray) -> np.ndarray:
 
 
 def _decided_path(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float, shift):
-    """The sequence state whose k-path decides a solve, that path, and when
-    the path started.
+    """The sequence state whose k-path decides a solve, that path, when the
+    path started, and how many power steps the truncated attempt ran.
 
     For a tolerance stop on a large enough operator the leading triplets'
     sequence is tried first, after each power step of ``_leading_tsvd``: its
@@ -336,20 +341,21 @@ def _decided_path(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float, shi
     goes straight to the full sequence, as does one that the last step does
     not trust either.
     """
+    steps = 0
     if tol_eps > 0 and min(a.n1, a.n2) >= 4 * _LEADING_TRIPLETS:
-        for factors, trusted in _leading_tsvd(a, _LEADING_TRIPLETS):
+        for steps, (factors, trusted) in enumerate(_leading_tsvd(a, _LEADING_TRIPLETS), 1):
             state = _sequence(factors, b, min(limit, _LEADING_TRIPLETS))
             started = time.perf_counter()
             path = _k_path(state, tol_eps, shift)
             reads = path[4]
             needed = limit if reads is None else state.kept_indices[reads - 1]
             if needed <= trusted:
-                return state, path, started
+                return state, path, started, steps
             if needed > _LEADING_TRIPLETS - _MARGIN:
                 break
     state = build_sequence(a, b, k_max)
     started = time.perf_counter()
-    return state, _k_path(state, tol_eps, shift), started
+    return state, _k_path(state, tol_eps, shift), started, steps
 
 
 def solve(
@@ -390,7 +396,9 @@ def solve(
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
     every face (``shift=None`` adds nothing); the first step that inverts a
     Theta refused by the one face rule raises ``SingularFaceError`` unless
-    the tolerance stopped the path before it.  A non-finite entry in
+    the tolerance stopped the path before it, and a Theta that overflows, or
+    a k-path whose norms overflow or underflow to zero, raises
+    ``NumericalConsistencyError`` naming it.  A non-finite entry in
     ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
     ``x_true`` before any work.  A ``tol_eps``, or a ``shift`` other than
     None, that is NaN, infinite or negative raises
@@ -421,8 +429,12 @@ def solve(
         x_scale = frobenius_norm(x_true) or 1.0  # a zero x_true reports |T_k|
     started = time.perf_counter()
     limit = _validated_limit(a, b, k_max)
-    state, path, steps_started = _decided_path(a, b, k_max, limit, tol_eps, shift)
+    with np.errstate(all="ignore"):  # a k-path out of range raises below, by name
+        state, path, steps_started, power_steps = _decided_path(a, b, k_max, limit, tol_eps, shift)
     t, res, eta, t_norms, reads, error = path
+    if error is None and not np.isfinite(np.concatenate([t_norms, res, eta])).all():
+        kind = "underflowed to zero" if (t_norms == 0).any() else "overflowed"  # eta = 0 / 0
+        error = NumericalConsistencyError(f"the k-path {kind}; rescale a or b")
     if error is not None:
         raise error
     k = len(t)  # the final k
@@ -440,6 +452,7 @@ def solve(
         t_k=Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :]),
         kept_indices=state.kept_indices,
         triplets=state.factors.r,
+        power_steps=power_steps,
         phase_seconds={
             "sequence": steps_started - started,
             "steps": time.perf_counter() - steps_started,

@@ -133,10 +133,7 @@ class TsvdFactors:
 
     @cached_property
     def s(self) -> Tensor3:
-        data = np.zeros((self.r, self.r, self._n3))
-        idx = np.arange(self.r)
-        data[idx, idx, :] = np.fft.irfft(self._sv, n=self._n3, axis=0).T
-        return Tensor3(data)
+        return _unfaces(self._sv[:, :, None] * np.eye(self.r), self._n3)
 
     @cached_property
     def v(self) -> Tensor3:

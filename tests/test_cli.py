@@ -537,6 +537,21 @@ def test_solve_non_finite_rhs_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "tk.tns3").exists()
 
 
+@pytest.mark.parametrize("part, match", [("a", "underflowed"), ("b", "overflowed")])
+def test_solve_out_of_range_is_runtime_error(tmp_path, capsys, part, match):
+    # scaled by 1e200, a leaves the k-path's norms to underflow and b its Theta to overflow
+    gen = gen_problem(tmp_path, capsys, dims="8,8,2", rate="0.2", noise="1e-3")
+    path = gen["paths"][part]
+    write_tns3(read_tns3(path) * 1e200, path)
+    code, report, err = run_cli(
+        ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], "--tol", "1e-3",
+         "--output", tmp_path / "tk.tns3"], capsys
+    )
+    assert code == 1 and report is None  # stdout is empty: no NaN or inf reached it
+    assert err.startswith("error:") and match in err
+    assert not (tmp_path / "tk.tns3").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("shift", "nan"), ("shift", "-1e-3"), ("shift", "-1"), ("shift", "inf"),

@@ -59,7 +59,7 @@ from textrap import (
     tubal_rank,
     verify_left_inverse,
 )
-from textrap.tensor_core import _face_linalg, _faces, _unfaces
+from textrap.tensor_core import _blocks, _face_linalg, _faces, _layout, _unfaces
 from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD, _face_solve, _refusal
 from textrap.trre_tsvd_solver import _parseval_weights
 
@@ -538,3 +538,38 @@ def test_faces_follow_the_dft_convention(n3):
     np.testing.assert_allclose(_unfaces(faces, n3).data, x, atol=1e-12)
     energy = np.sum(_parseval_weights(n3)[:, None, None] * np.abs(faces) ** 2)
     assert energy == pytest.approx(np.sum(x**2), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the block layout pair and the results of the kernel
+
+
+@pytest.mark.parametrize("rows, cols, n1, n2, n3", [(1, 1, 2, 3, 1), (3, 1, 2, 2, 4),
+                                                    (1, 4, 3, 1, 5), (2, 3, 1, 2, 2)])
+def test_block_layout_round_trip_is_bit_exact(rows, cols, n1, n2, n3):
+    blocks = RNG.standard_normal((rows, cols, n1, n2, n3))
+    laid = _layout(blocks)
+    assert laid.dims == (rows * n1, cols * n2, n3)
+    for i in range(rows):
+        for j in range(cols):
+            got = laid.data[i * n1 : (i + 1) * n1, j * n2 : (j + 1) * n2]
+            assert np.array_equal(got, blocks[i, j])
+    assert np.array_equal(_blocks(laid, rows, cols), blocks)
+    # a stack side by side, on top, and a grid transposed
+    stack = blocks[0]
+    assert np.array_equal(_blocks(_layout(stack[None]), 1, cols)[0], stack)
+    assert np.array_equal(_blocks(_layout(stack[:, None]), cols, 1)[:, 0], stack)
+    swapped = blocks.swapaxes(0, 1)
+    assert np.array_equal(_blocks(_layout(swapped), cols, rows), swapped)
+
+
+def test_kernel_results_are_read_only():
+    a, b = Tensor3(rand(3, 3, 4)), Tensor3(rand(3, 2, 4))
+    stack = Stack4([rand(3, 3, 4) for _ in range(2)])
+    grid = Stack5([[rand(3, 3, 4) for _ in range(2)] for _ in range(2)])
+    results = [tprod(a, b), tinverse(a), tls_solve(a, b), star(stack, stack)]
+    results += [star(grid, stack)[1], bar_star(grid, grid)[0, 1]]
+    for result in results:
+        assert not result.data.flags.writeable
+        with pytest.raises(ValueError):
+            result.data[0, 0, 0] = 1.0

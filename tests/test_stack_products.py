@@ -71,6 +71,24 @@ def test_diamond_degenerate_case():
         assert frobenius_norm(out[i] - tprod(ttranspose(a[i]), y)) == 0.0
 
 
+@pytest.mark.parametrize("n3", [1, 2, 6, 7])
+@pytest.mark.parametrize("ell, k", [(1, 1), (1, 3), (3, 1), (4, 2)])
+@pytest.mark.parametrize("n1, p, q", [(4, 2, 2), (5, 3, 1), (3, 1, 4)])
+def test_diamond_blocks_are_the_per_block_products_bit_for_bit(n3, ell, k, n1, p, q):
+    # one broadcast face product rounds every block as its own T-product does
+    a = rand_stack(ell, n1, p, n3)
+    b = rand_stack(k, n1, q, n3)
+    y = rand(n1, q, n3)
+    g, d = diamond(a, b), diamond(a, y)
+    assert g.grid_shape == (k, ell) and g.block_dims == (p, q, n3)
+    assert isinstance(d, Stack4) and d.count == ell and d.dims == (p, q, n3)
+    for i in range(ell):
+        at = ttranspose(a[i])
+        assert np.array_equal(d[i].data, tprod(at, y).data)
+        for j in range(k):
+            assert np.array_equal(g.block(j, i).data, tprod(at, b[j]).data)
+
+
 def test_diamond_validation():
     with pytest.raises(DimensionMismatchError):
         diamond(Stack4([]), rand(2, 2, 2))

@@ -833,6 +833,7 @@ def test_small_operators_and_tol_zero_run_the_full_path(monkeypatch):
     report = solve(a, b, tol_eps=0.0, x_true=x)
     ref = loop_solve_path(build_sequence(a, b), 0.0, x_true=x)
     assert report.triplets == 64 and report.as_dict()["triplets"] == 64
+    assert report.power_steps == report.as_dict()["power_steps"] == 0
     assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"] == "k_max"
     for key in ("residual_norms", "eta_ratios", "t_norms", "errors"):
         assert getattr(report, key) == ref[key], key
@@ -924,7 +925,7 @@ def test_stop_past_the_trusted_terms_falls_back_to_the_full_path(monkeypatch):
                             lambda *args, f=original, n=name: calls.append(n) or f(*args))
     report = solve(a, b, tol_eps=1e-300, x_true=x)
     assert calls == ["_leading_tsvd", "build_sequence"]
-    assert report.triplets == 64
+    assert report.triplets == 64 and report.power_steps == 1
     _same_path(report, ref, rtol=0.0)
 
 
@@ -949,7 +950,8 @@ def test_a_smooth_tolerance_solve_is_decided_after_one_power_step(monkeypatch, n
     _truncated_only(monkeypatch)
     report = solve(a, b, tol_eps=tol, x_true=x)
     # one call per range: the faces split once, in one power step
-    assert report.triplets == 16
+    assert report.triplets == 16 and report.power_steps == 1
+    assert report.as_dict()["power_steps"] == 1
     assert len(ranges) == min(n3 // 2 + 1, 2) and sum(ranges) == n3 // 2 + 1
     assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"] == "tolerance"
     assert report.kept_indices == tuple(j for j in state.kept_indices if j <= 16)
@@ -970,6 +972,7 @@ def test_a_term_the_first_step_could_not_trust_takes_the_second(monkeypatch):
     _truncated_only(monkeypatch)
     report = solve(a, b, tol_eps=1e-3, x_true=x)
     assert report.triplets == 16 and ranges == [3, 3]
+    assert report.power_steps == report.as_dict()["power_steps"] == 2
     assert report.kept_indices[report.final_k] == 10
     assert report.ks == ref["ks"] and report.stop_reason == ref["stop_reason"]
     # the result is the k-path on the factors of the last step
@@ -998,6 +1001,8 @@ def test_an_outcome_past_the_trustable_terms_skips_the_second_step(monkeypatch, 
     report = solve(a, b, tol_eps=tol, x_true=x)
     assert calls == ["_range_finder", "build_sequence"]
     assert report.triplets == n == want.triplets
+    # the step the attempt ran is counted though the full path decided
+    assert report.power_steps == 1 and want.power_steps == 0
     assert report.ks == want.ks and report.stop_reason == want.stop_reason == "k_max"
     assert report.kept_indices == want.kept_indices
     assert report.t_k.data.tobytes() == want.t_k.data.tobytes()
@@ -1036,3 +1041,44 @@ def test_non_finite_operator_is_refused_by_the_truncated_attempt(monkeypatch):
     _truncated_only(monkeypatch)
     with pytest.raises(FaceSvdError):
         solve(Tensor3(data), b, tol_eps=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# a k-path that leaves the floating-point range
+
+
+def range_problem():
+    """``(a, b, x_true)`` as ``textrap gen --dims 8,8,2 --rate 0.2 --noise
+    1e-3`` makes them: well scaled, and a solve of them stops at k_max."""
+    from textrap.cli import make_problem
+
+    return make_problem((8, 8, 2), "geometric", 0.2, 1e-3, np.random.default_rng(0), 1)
+
+
+@pytest.mark.parametrize("scale_a, scale_b, shift, match", [
+    # |delta| ~ 1e-200: the squares in the extrapolant norms underflow to zero
+    (1e200, 1.0, 1e-10, "the k-path underflowed to zero"),
+    (1.0, 1e-200, 1e-10, "the k-path underflowed to zero"),
+    # without the shift 1 / Theta overflows
+    (1e160, 1.0, None, "the k-path overflowed"),
+    # |delta| ~ 1e200: Theta_1 overflows
+    (1.0, 1e200, 1e-10, "Theta_1 at step k=2 overflowed"),
+    (1e-200, 1.0, 1e-10, "Theta_1 at step k=2 overflowed"),
+    (1.0, 1e200, None, "Theta_1 at step k=2 overflowed"),
+])
+def test_a_k_path_out_of_range_raises_naming_it(scale_a, scale_b, shift, match):
+    a, b, _ = range_problem()
+    # the typed error, and no numpy warning, reaches the caller
+    with pytest.raises(NumericalConsistencyError, match=match):
+        solve(a * scale_a, b * scale_b, tol_eps=1e-3, shift=shift)
+
+
+def test_a_k_path_in_range_is_left_as_it_was():
+    # the range checks fire on non-finite values only: a scale that a and b
+    # share leaves every value in range, and the one-pass path matches the
+    # step-by-step reference to the bit
+    a, b, x = range_problem()
+    a, b = a * 1e200, b * 1e200
+    report = solve(a, b, tol_eps=1e-3, x_true=x)
+    assert report.stop_reason == "k_max" and report.power_steps == 0
+    _same_path(report, loop_solve_path(build_sequence(a, b), 1e-3, x_true=x), rtol=0.0)
