@@ -21,16 +21,12 @@ real by construction.  The private kernel below (``_faces``,
 first, so that per-face linear algebra is a single batched ``np.linalg``
 call (the full face SVD of ``tsvd`` makes one call per face, split over
 the CPUs by ``_face_split``) and a T-product one batched matmul; only the
-range finder in ``tsvd`` and the solver's sequence call ``np.fft``
-themselves.  The full spectrum of a tensor ``t`` is
-``np.fft.fft(t.data, axis=2)``.  Public arrays in the face domain:
+range finder in ``tsvd`` calls ``np.fft`` itself.  The full spectrum of a
+tensor ``t`` is ``np.fft.fft(t.data, axis=2)``.  Public arrays of all
+faces, face first:
 
-- ``InvertibilityReport.face_min_sv`` and ``face_max_sv``: ``(n3,)``, all
-  faces;
-- ``TsvdFactors.face_singular_values``: ``(n3, r)``, all faces, face
-  first;
-- ``TtsvdSequenceState.delta_faces``: ``(K, s, F)``, and ``sum_faces``:
-  ``(K + 1, n2, s, F)``, the half spectrum with the face axis last.
+- ``InvertibilityReport.face_min_sv`` and ``face_max_sv``: ``(n3,)``;
+- ``TsvdFactors.face_singular_values``: ``(n3, r)``.
 
 One rule refuses a face system (``tproduct_algebra._refusal``): a face's
 smallest singular value at or below ``INVERTIBILITY_THRESHOLD`` times the
@@ -457,6 +453,12 @@ def _full_spectrum(half: np.ndarray, n3: int) -> np.ndarray:
     of a real tensor (face ``n3 - f`` shares the spectrum of face ``f``)."""
     f = np.arange(n3)
     return half[np.minimum(f, n3 - f)]
+
+
+def _parseval_weights(n3: int) -> np.ndarray:
+    """Weights c_f with ``|x|^2 = sum_f c_f |rfft(x)_f|^2`` along mode 3: the
+    full-spectrum faces each half-spectrum face stands for, over ``n3``."""
+    return np.bincount(_full_spectrum(np.arange(n3 // 2 + 1), n3)) / n3
 
 
 def _face_linalg(fn, faces: np.ndarray, *args, **kwargs):

@@ -19,8 +19,8 @@ from the face factors that ``TsvdFactors`` holds: one T-product gives all
 gives the delta faces, a broadcast product with the faces of ``v`` the
 increments, and one cumulative sum the partial sums.  Only ``u`` is
 transformed back, for the T-product; ``s`` and ``v`` never are.  The state
-keeps those face arrays; its tensor lists are transformed back only when
-read.
+keeps those face arrays in the kernel's layout (``tensor_core._faces``);
+its Stack4s are transformed back, by the kernel, only when read.
 
 ``solve`` takes a one-column right-hand side, so every Theta_j is a tubal
 scalar and the whole k-path is scalar arithmetic on the real-FFT half
@@ -32,7 +32,7 @@ W_j = 1 / (theta_j + shift),
 
 where both sums are running prefix sums.  The k-path is one pass over
 every step the sequence allows: one cumulative sum for each prefix sum,
-every T_k formed in place as one (K, n2, faces) array, and each per-k
+every T_k formed in place as one (K, F, n2) array, and each per-k
 column as one reduction: the residual by the trace identity
 ``|R_k|^2 = tr((Theta_k * gamma_{k-1})_1)``, eta, the extrapolant norms
 and the errors by Parseval.  The path stops at the first k that meets the
@@ -70,7 +70,16 @@ from .errors import (
     InvalidParameterError,
     NumericalConsistencyError,
 )
-from .tensor_core import Tensor3, _require_finite, _require_int, frobenius_norm
+from .tensor_core import (
+    Stack4,
+    Tensor3,
+    _faces,
+    _parseval_weights,
+    _require_finite,
+    _require_int,
+    _unfaces,
+    frobenius_norm,
+)
 from .tproduct_algebra import _refusal, _singular, tprod, ttranspose
 from .tsvd import _MARGIN, TsvdFactors, _leading_tsvd, _pseudo_invert_diagonal, tsvd
 
@@ -97,14 +106,16 @@ class TtsvdSequenceState:
     """TTSVD partial-sum sequence, held as real-FFT half-spectrum faces.
 
     With K retained terms, s right-hand-side columns and F = n3 // 2 + 1
-    faces, ``delta_faces`` has shape (K, s, F) and ``sum_faces`` shape
-    (K + 1, n2, s, F), whose first entry is S_0 = 0.  Terms whose delta
-    vanished are dropped and the sequence reindexed, with the surviving
-    original (1-based) indices in ``kept_indices``.
+    faces, ``delta_faces`` (K, F, 1, s) and ``sum_faces`` (K + 1, F, n2, s)
+    are the kernel's face stacks of the tensors delta_j and S_j, behind one
+    stack axis; the first sum is S_0 = 0.  Terms whose delta vanished are
+    dropped and the sequence reindexed, with the surviving original
+    (1-based) indices in ``kept_indices``.
 
-    The tensor lists ``deltas``, ``sdeltas`` and ``partial_sums`` are
-    transformed back on first access; ``deltas[j]`` and ``sdeltas[j]``
-    belong to retained term j+1.  ``solve`` reads only the face arrays.
+    ``deltas``, ``sdeltas`` and ``partial_sums`` are Stack4s, each a
+    read-only view of one inverse transform made on first access;
+    ``deltas[j]`` and ``sdeltas[j]`` belong to retained term j+1.  ``solve``
+    reads only the face arrays.
     """
 
     factors: TsvdFactors
@@ -117,27 +128,25 @@ class TtsvdSequenceState:
         """Number of usable sequence terms (after the drop rule)."""
         return len(self.delta_faces)
 
-    def _tensors(self, faces: np.ndarray) -> list:
-        return [Tensor3(t) for t in np.fft.irfft(faces, n=self.factors._n3, axis=-1)]
+    @cached_property
+    def deltas(self) -> Stack4:
+        return _unfaces(self.delta_faces, self.factors._n3, Stack4)
 
     @cached_property
-    def deltas(self) -> list:
-        return self._tensors(self.delta_faces[:, None])
+    def sdeltas(self) -> Stack4:
+        faces = _sdelta_faces(self.factors._vf, self.delta_faces, self.kept_indices)
+        return _unfaces(faces, self.factors._n3, Stack4)
 
     @cached_property
-    def sdeltas(self) -> list:
-        return self._tensors(_sdelta_faces(self.factors._vf, self.delta_faces, self.kept_indices))
-
-    @cached_property
-    def partial_sums(self) -> list:
-        return self._tensors(self.sum_faces)
+    def partial_sums(self) -> Stack4:
+        return _unfaces(self.sum_faces, self.factors._n3, Stack4)
 
 
 def _sdelta_faces(vf: np.ndarray, delta_faces: np.ndarray, kept, out=None) -> np.ndarray:
-    """Faces (K, n2, s, F) of the increments v_j * delta_j of the terms with
+    """Faces (K, F, n2, s) of the increments v_j * delta_j of the terms with
     1-based indices ``kept``, from the (F, n2, r) faces ``vf`` of ``v``."""
-    vk = vf[:, :, np.array(kept, dtype=int) - 1].transpose(2, 1, 0)
-    return np.multiply(vk[:, :, None, :], delta_faces[:, None], out=out)
+    vk = np.moveaxis(vf[:, :, np.array(kept, dtype=int) - 1], -1, 0)
+    return np.multiply(vk[..., None], delta_faces, out=out)
 
 
 def _validated_limit(a: Tensor3, b: Tensor3, k_max) -> int:
@@ -159,14 +168,13 @@ def _validated_limit(a: Tensor3, b: Tensor3, k_max) -> int:
 def _sequence(factors: TsvdFactors, b: Tensor3, limit: int) -> TtsvdSequenceState:
     """The sequence of the leading ``limit`` triplets of ``factors``, every
     term at once (see :func:`build_sequence`)."""
-    faces, n2 = factors._vf.shape[:2]
     inv_sv = _pseudo_invert_diagonal(factors._sv[:, :limit])
     # a T-product of the time-domain u: the benchmark's trace test counts tprod
     utb = tprod(ttranspose(Tensor3(factors.u.data[:, :limit])), b)
-    deltas = inv_sv.T[:, None, :] * np.fft.rfft(utb.data, axis=-1)
-    kept = np.flatnonzero(deltas.any(axis=(1, 2))) + 1
+    deltas = np.moveaxis(inv_sv[:, :, None] * _faces(utb.data), 1, 0)[:, :, None]
+    kept = np.flatnonzero(deltas.any(axis=(1, 2, 3))) + 1
     deltas = deltas[kept - 1]
-    sums = np.zeros((len(kept) + 1, n2, b.n2, faces), dtype=np.complex128)
+    sums = np.zeros((len(kept) + 1, *factors._vf.shape[:2], b.n2), dtype=np.complex128)
     _sdelta_faces(factors._vf, deltas, kept, out=sums[1:])
     np.cumsum(sums[1:], axis=0, out=sums[1:])
     return TtsvdSequenceState(
@@ -259,22 +267,11 @@ class SolverReport:
         return out
 
 
-def _parseval_weights(n3: int) -> np.ndarray:
-    """Weights c_f with ``|x|^2 = sum_f c_f |rfft(x)_f|^2`` along mode 3: the
-    zero face and (for even n3) the Nyquist face appear once in the full
-    spectrum, every other half-spectrum face twice."""
-    c = np.full(n3 // 2 + 1, 2.0 / n3)
-    c[0] = 1.0 / n3
-    if n3 % 2 == 0:
-        c[-1] = 1.0 / n3
-    return c
-
-
 def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
     """The k-path over the state's terms in one pass.
 
     Returns ``(t, res, eta, t_norms, reads, error)``: the half-spectrum T_k
-    rows (k - 1, n2, F) for k = 1 .. the final k, that path's residuals and
+    rows (k - 1, F, n2) for k = 1 .. the final k, that path's residuals and
     eta (from k = 2) and extrapolant norms, how many sequence terms decided
     where the path ends (None when it ran out of terms), and the error the
     path ends with (None for a result).
@@ -283,12 +280,11 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
         return None, None, None, None, None, InsufficientSequenceError(
             "right-hand side produced no usable sequence terms (every delta vanished)"
         )
-    n2, n3 = state.sum_faces.shape[1], state.factors._n3
-    # half-spectrum faces: theta (count, faces) and the partial sums
-    # S_0 = 0, S_1, ... (count + 1, n2, faces)
-    deltas = state.delta_faces[:, 0]
+    # half-spectrum faces: theta (count, F) and the partial sums
+    # S_0 = 0, S_1, ... (count + 1, F, n2)
+    deltas = state.delta_faces[:, :, 0, 0]
     theta = deltas.real**2 + deltas.imag**2
-    sums = state.sum_faces[:, :, 0]
+    sums = state.sum_faces[..., 0]
     shifted = theta + float(shift) if shift else theta
     # step k inverts Theta_1 .. Theta_k; the path stops short of the first
     # Theta refused by the one face rule (a Theta face is its own singular value)
@@ -298,16 +294,16 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
     weights = 1.0 / shifted[:last]
 
     # row k-1 holds T_k: first sum_{1<=j<k} W_{j+1} S_j, then T_k in place
-    t = np.zeros((max(last, 1), n2, sums.shape[-1]), dtype=sums.dtype)
-    np.multiply(weights[1:, None], sums[1:last], out=t[1:])
+    t = np.zeros((max(last, 1), *sums.shape[1:]), dtype=sums.dtype)
+    np.multiply(weights[1:, :, None], sums[1:last], out=t[1:])
     np.cumsum(t, axis=0, out=t)
     theta_next = theta[2 : last + 1]
     den = 1.0 + theta_next * np.cumsum(weights, axis=0)[1:]
-    t[1:] *= theta_next[:, None]
+    t[1:] *= theta_next[:, :, None]
     t[1:] += sums[2 : last + 1]
-    t[1:] /= den[:, None]
+    t[1:] /= den[:, :, None]
     t[0] = sums[1]
-    parseval = _parseval_weights(n3)
+    parseval = _parseval_weights(state.factors._n3)
     res = np.sqrt(np.sum(parseval * theta[1:last] * weights[1:] * theta_next / den, axis=-1))
     t_norms = _norms(t, parseval)
     eta = _norms(np.diff(t, axis=0), parseval) / t_norms[:-1]
@@ -318,16 +314,19 @@ def _k_path(state: TtsvdSequenceState, tol_eps: float, shift: float | None):
     step = max(2, first_singular + 1)
     if step < state.count:  # the path reaches the step that inverts it
         j, what = first_singular, f"Theta_{first_singular + 1} at step k={step}"
-        error = (_refusal(shifted[j, :, None], what + ": ") if np.isfinite(shifted[j]).all()
-                 else NumericalConsistencyError(f"{what} overflowed; rescale a or b"))
+        # a zero face of a nonzero delta is a square that underflowed
+        kind = ("overflowed" if not np.isfinite(shifted[j]).all() else
+                "underflowed to zero" if (deltas[j][shifted[j] == 0] != 0).any() else None)
+        error = (NumericalConsistencyError(f"{what} {kind}; rescale a or b") if kind
+                 else _refusal(shifted[j, :, None], what + ": "))
         return None, None, None, None, step + 1, error
     return t, res, eta, t_norms, None, None
 
 
 def _norms(faces: np.ndarray, parseval: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the tensors whose half-spectrum faces are the last
-    two axes of ``faces``."""
-    return np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
+    """Frobenius norms of the one-column tensors whose (F, n2) half-spectrum
+    faces are the last two axes of ``faces``."""
+    return np.sqrt(np.sum(parseval[:, None] * (faces.real**2 + faces.imag**2), axis=(-2, -1)))
 
 
 def _decided_path(a: Tensor3, b: Tensor3, k_max, limit: int, tol_eps: float, shift):
@@ -396,14 +395,14 @@ def solve(
     a time.  Step k inverts Theta_1 .. Theta_k after adding ``shift`` on
     every face (``shift=None`` adds nothing); the first step that inverts a
     Theta refused by the one face rule raises ``SingularFaceError`` unless
-    the tolerance stopped the path before it, and a Theta that overflows, or
-    a k-path whose norms overflow or underflow to zero, raises
-    ``NumericalConsistencyError`` naming it.  A non-finite entry in
-    ``a``, ``b`` or ``x_true`` raises ``FaceSvdError``; one in ``b`` or
-    ``x_true`` before any work.  A ``tol_eps``, or a ``shift`` other than
-    None, that is NaN, infinite or negative raises
-    ``InvalidParameterError`` naming the parameter, before any work (a
-    non-integer ``k_max`` before the decomposition).
+    the tolerance stopped the path before it, and a Theta that overflows or
+    has a zero face where delta is not zero, or a k-path whose norms
+    overflow or underflow to zero, raises ``NumericalConsistencyError``
+    naming it.  A non-finite entry in ``a``, ``b`` or ``x_true`` raises
+    ``FaceSvdError``; one in ``b`` or ``x_true`` before any work.  A
+    ``tol_eps``, or a ``shift`` other than None, that is NaN, infinite or
+    negative raises ``InvalidParameterError`` naming the parameter, before
+    any work (a non-integer ``k_max`` before the decomposition).
     """
     # written so that NaN fails both tests
     if not 0 <= tol_eps < np.inf:
@@ -425,7 +424,7 @@ def solve(
                 f"x_true dims {x_true.dims} do not match the solution dims {(n2, 1, n3)}"
             )
         _require_finite(x_true, "x_true")
-        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
+        x_faces = _faces(x_true.data)[..., 0]
         x_scale = frobenius_norm(x_true) or 1.0  # a zero x_true reports |T_k|
     started = time.perf_counter()
     limit = _validated_limit(a, b, k_max)
@@ -449,7 +448,7 @@ def solve(
         t_norms=t_norms.tolist(),
         errors=errors,
         stop_reason="k_max" if reads is None else "tolerance",
-        t_k=Tensor3(np.fft.irfft(t[-1], n=n3, axis=-1)[:, None, :]),
+        t_k=_unfaces(t[-1][..., None], n3),
         kept_indices=state.kept_indices,
         triplets=state.factors.r,
         power_steps=power_steps,

@@ -18,7 +18,8 @@ TRRE-TTSVD step (closed-form beta by T-product inverses, the trace-identity
 residual and eta) are built from the package's T-product primitives; they
 are the references for the face-domain builder and solver, which share none
 of that arithmetic.  The step-by-step k-path loop reads the package's own
-sequence faces; it is the reference for the solver's block evaluation.
+sequence faces; it is the reference for the solver's block evaluation, and
+its long-double twin the reference for that evaluation's rounding.
 """
 
 from types import SimpleNamespace
@@ -614,9 +615,9 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
     ``tinverse`` rule.  Returns the per-k columns, ``stop_reason`` and the
     final ``t_k``.  Reference for the one-pass evaluation in ``solve``."""
     n3 = state.factors.u.n3
-    deltas = state.delta_faces[:, 0]
+    deltas = state.delta_faces[:, :, 0, 0]
     theta = deltas.real**2 + deltas.imag**2
-    sums = state.sum_faces[:, :, 0]
+    sums = state.sum_faces[..., 0]
     shifted = theta + float(shift) if shift else theta
     singular = shifted.min(axis=1) <= INVERTIBILITY_THRESHOLD * shifted.max(axis=1)
     with np.errstate(divide="ignore"):
@@ -627,11 +628,11 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
         parseval[-1] = 1.0 / n3
 
     def norm(faces):
-        return float(np.sqrt(np.sum(parseval * (faces.real**2 + faces.imag**2))))
+        return float(np.sqrt(np.sum(parseval[:, None] * (faces.real**2 + faces.imag**2))))
 
     x_faces = scale = None
     if x_true is not None:
-        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1)
+        x_faces = np.fft.rfft(x_true.data[:, 0], axis=-1).T
         scale = frobenius_norm(x_true)
     out = {"ks": [], "residual_norms": [], "eta_ratios": [], "t_norms": [], "errors": []}
 
@@ -663,10 +664,10 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
                 face_index=face,
                 cond=top / smin if smin > 0 else np.inf,
             )
-        weighted += weights[k - 1] * sums[k - 1]
+        weighted += weights[k - 1, :, None] * sums[k - 1]
         weight_sum = weight_sum + weights[k - 1]
         den = 1.0 + theta[k] * weight_sum
-        t_k = (sums[k] + theta[k] * weighted) / den
+        t_k = (sums[k] + theta[k, :, None] * weighted) / den[:, None]
         res = float(np.sqrt(np.sum(parseval * theta[k - 1] * weights[k - 1] * theta[k] / den)))
         eta = norm(t_k - t_prev) / prev_norm
         prev_norm = record(k, t_k, res, eta)
@@ -674,7 +675,70 @@ def loop_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT, x_true=None) -> d
         if min(res, eta) < tol_eps:
             out["stop_reason"] = "tolerance"
             break
-    out["t_k"] = Tensor3(np.fft.irfft(t_prev, n=n3, axis=-1)[:, None, :])
+    out["t_k"] = Tensor3(np.fft.irfft(t_prev, n=n3, axis=0).T[:, None, :])
+    return out
+
+
+def ld_solve_path(state, tol_eps, shift=DEFAULT_THETA_SHIFT) -> dict:
+    """``solve``'s partial-sum k-path evaluated in ``np.longdouble`` from the
+    state's float64 faces, one step at a time: with theta_j = |delta_j(f)|^2
+    and W_j = 1 / (theta_j + shift), ``T_k = (S_k + theta_{k+1} sum_{j<k}
+    W_{j+1} S_j) / den_k`` and ``den_k = 1 + theta_{k+1} sum_{j<=k} W_j``,
+    every weight, prefix sum, extrapolant and Parseval norm carried in
+    extended precision.  It is the reference for how far the float64 path is
+    from the exact one on the same inputs; it does not test the Thetas for
+    singularity.
+
+    Stops at the first k with ``min(res, eta) < tol_eps``, else at the last
+    term.  Returns long-double per-k ``ks``, ``residual_norms`` and
+    ``eta_ratios`` (None at k = 1), ``t_norms``, the extrapolants ``t`` as
+    (n2, 1, n3) arrays, ``scales`` and ``stop_reason``.  ``scales[k - 1]``
+    is the norm of the terms T_k sums, |S_k| + theta_{k+1} sum_{j<k} W_{j+1}
+    |S_j| over den_k, per face: rounding in a sum of them is relative to it.
+    """
+    ld = np.longdouble
+    n3 = state.factors.u.n3
+    deltas = state.delta_faces[:, :, 0, 0].astype(np.clongdouble)
+    theta = deltas.real**2 + deltas.imag**2
+    sums = state.sum_faces[..., 0].astype(np.clongdouble)
+    weights = 1 / (theta + ld(shift or 0))
+    parseval = np.full(n3 // 2 + 1, 2 / ld(n3))
+    parseval[0] = 1 / ld(n3)
+    if n3 % 2 == 0:
+        parseval[-1] = 1 / ld(n3)
+
+    def face_norms(faces):
+        return np.sqrt(np.sum(faces.real**2 + faces.imag**2, axis=-1))
+
+    def norm(per_face):  # the tensor norm from the norms of its faces
+        return np.sqrt(np.sum(parseval * per_face**2))
+
+    def tensor(faces):
+        return np.fft.irfft(faces, n=n3, axis=0).T[:, None, :]
+
+    sizes = face_norms(sums)
+    out = {"ks": [1], "residual_norms": [None], "eta_ratios": [None], "t": [tensor(sums[1])],
+           "t_norms": [norm(sizes[1])], "scales": [norm(sizes[1])], "stop_reason": "k_max"}
+    t_prev, weighted, weighted_sizes = sums[1], np.zeros_like(sums[1]), np.zeros_like(sizes[1])
+    weight_sum = weights[0]
+    for k in range(2, state.count):
+        weighted = weighted + weights[k - 1, :, None] * sums[k - 1]
+        weighted_sizes = weighted_sizes + weights[k - 1] * sizes[k - 1]
+        weight_sum = weight_sum + weights[k - 1]
+        den = 1 + theta[k] * weight_sum
+        t_k = (sums[k] + theta[k, :, None] * weighted) / den[:, None]
+        res = np.sqrt(np.sum(parseval * theta[k - 1] * weights[k - 1] * theta[k] / den))
+        eta = norm(face_norms(t_k - t_prev)) / norm(face_norms(t_prev))
+        out["ks"].append(k)
+        out["residual_norms"].append(res)
+        out["eta_ratios"].append(eta)
+        out["t"].append(tensor(t_k))
+        out["t_norms"].append(norm(face_norms(t_k)))
+        out["scales"].append(norm((sizes[k] + theta[k] * weighted_sizes) / den))
+        t_prev = t_k
+        if min(res, eta) < tol_eps:
+            out["stop_reason"] = "tolerance"
+            break
     return out
 
 

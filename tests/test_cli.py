@@ -537,12 +537,17 @@ def test_solve_non_finite_rhs_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "tk.tns3").exists()
 
 
-@pytest.mark.parametrize("part, match", [("a", "underflowed"), ("b", "overflowed")])
-def test_solve_out_of_range_is_runtime_error(tmp_path, capsys, part, match):
-    # scaled by 1e200, a leaves the k-path's norms to underflow and b its Theta to overflow
+@pytest.mark.parametrize("part, scale, match", [
+    pytest.param("a", 1e200, "underflowed", id="a-underflowed"),
+    pytest.param("b", 1e200, "overflowed", id="b-overflowed"),
+    pytest.param("b", 1e-200, "underflowed", id="b-small-underflowed"),
+])
+def test_solve_out_of_range_is_runtime_error(tmp_path, capsys, part, scale, match):
+    # scaled by 1e200, a leaves the k-path's norms to underflow and b its Theta
+    # to overflow; scaled by 1e-200, b leaves the norms to underflow
     gen = gen_problem(tmp_path, capsys, dims="8,8,2", rate="0.2", noise="1e-3")
     path = gen["paths"][part]
-    write_tns3(read_tns3(path) * 1e200, path)
+    write_tns3(read_tns3(path) * scale, path)
     code, report, err = run_cli(
         ["solve", "-i", gen["paths"]["a"], "--b", gen["paths"]["b"], "--tol", "1e-3",
          "--output", tmp_path / "tk.tns3"], capsys

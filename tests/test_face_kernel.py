@@ -59,9 +59,8 @@ from textrap import (
     tubal_rank,
     verify_left_inverse,
 )
-from textrap.tensor_core import _blocks, _face_linalg, _faces, _layout, _unfaces
+from textrap.tensor_core import _blocks, _face_linalg, _faces, _layout, _parseval_weights, _unfaces
 from textrap.tproduct_algebra import INVERTIBILITY_THRESHOLD, _face_solve, _refusal
-from textrap.trre_tsvd_solver import _parseval_weights
 
 N3S = (1, 2, 3, 4, 7, 8)
 RNG = np.random.default_rng(20261018)
@@ -569,7 +568,15 @@ def test_kernel_results_are_read_only():
     grid = Stack5([[rand(3, 3, 4) for _ in range(2)] for _ in range(2)])
     results = [tprod(a, b), tinverse(a), tls_solve(a, b), star(stack, stack)]
     results += [star(grid, stack)[1], bar_star(grid, grid)[0, 1]]
+    state = build_sequence(a, b)
+    results += [*state.deltas, *state.sdeltas, *state.partial_sums]
+    results += [solve(a, Tensor3(b.data[:, :1])).t_k]
     for result in results:
         assert not result.data.flags.writeable
         with pytest.raises(ValueError):
             result.data[0, 0, 0] = 1.0
+    # the terms of a sequence are views of one inverse transform, not copies
+    def root(arr):
+        return arr if arr.base is None else root(arr.base)
+
+    assert len({id(root(term.data)) for term in state.partial_sums}) == 1
